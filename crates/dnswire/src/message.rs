@@ -204,14 +204,53 @@ impl Message {
         self.questions.first()
     }
 
+    /// The message's length with every name written uncompressed: an
+    /// upper bound on the encoded length.
+    pub fn uncompressed_len(&self) -> usize {
+        12 + self
+            .questions
+            .iter()
+            .map(|q| q.name.wire_len() + 4)
+            .sum::<usize>()
+            + self
+                .answers
+                .iter()
+                .chain(&self.authorities)
+                .chain(&self.additionals)
+                .map(ResourceRecord::uncompressed_len)
+                .sum::<usize>()
+    }
+
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        self.encode_parts(None)
+    }
+
+    /// Encode as if the header carried `id` (DoQ and DoH send id 0):
+    /// the id is the first two bytes and no other byte depends on it.
+    pub fn encode_with_id(&self, id: u16) -> Vec<u8> {
+        let mut wire = self.encode();
+        wire[..2].copy_from_slice(&id.to_be_bytes());
+        wire
+    }
+
+    /// Encode as if every OPT record in the additional section were
+    /// dropped and `opt` appended last — the bytes a modified clone
+    /// would encode to, without cloning the message.
+    pub fn encode_with_opt(&self, opt: &ResourceRecord) -> Vec<u8> {
+        self.encode_parts(Some(opt))
+    }
+
+    fn encode_parts(&self, opt: Option<&ResourceRecord>) -> Vec<u8> {
+        let keep = |rr: &&ResourceRecord| opt.is_none() || rr.rtype != RecordType::Opt;
+        let additionals = self.additionals.iter().filter(keep);
+        let capacity = self.uncompressed_len() + opt.map_or(0, ResourceRecord::uncompressed_len);
+        let mut w = WireWriter::with_capacity(capacity);
         w.put_u16(self.header.id);
         w.put_u16(self.header.flags());
         w.put_u16(self.questions.len() as u16);
         w.put_u16(self.answers.len() as u16);
         w.put_u16(self.authorities.len() as u16);
-        w.put_u16(self.additionals.len() as u16);
+        w.put_u16((additionals.clone().count() + opt.is_some() as usize) as u16);
         for q in &self.questions {
             q.encode(&mut w);
         }
@@ -219,7 +258,8 @@ impl Message {
             .answers
             .iter()
             .chain(&self.authorities)
-            .chain(&self.additionals)
+            .chain(additionals)
+            .chain(opt)
         {
             rr.encode(&mut w);
         }
@@ -360,6 +400,39 @@ mod tests {
         assert_eq!(opt.extended_rcode, 1);
         assert_eq!(back.header.rcode, Rcode::NoError);
         assert_eq!(opt.version, 0, "we answer with the version we speak");
+    }
+
+    #[test]
+    fn encode_with_id_matches_the_modified_clone() {
+        let q = Message::query(0x1234, name("example.org"), RecordType::A);
+        let mut zero = q.clone();
+        zero.header.id = 0;
+        assert_eq!(q.encode_with_id(0), zero.encode());
+    }
+
+    #[test]
+    fn encode_with_opt_matches_the_modified_clone() {
+        let q = Message::query(5, name("example.org"), RecordType::A);
+        let opt = OptRecord {
+            options: vec![crate::EdnsOption::TcpKeepalive(Some(300))],
+            ..OptRecord::default()
+        }
+        .to_record();
+        let mut bare = q.clone();
+        bare.additionals.clear();
+        let mut twice = q.clone();
+        twice.additionals.push(ResourceRecord::new(
+            name("example.org"),
+            60,
+            RData::A([1, 2, 3, 4]),
+        ));
+        twice.additionals.push(q.additionals[0].clone());
+        for msg in [q, bare, twice] {
+            let mut clone = msg.clone();
+            clone.additionals.retain(|rr| rr.rtype != RecordType::Opt);
+            clone.additionals.push(opt.clone());
+            assert_eq!(msg.encode_with_opt(&opt), clone.encode());
+        }
     }
 
     #[test]

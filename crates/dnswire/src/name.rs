@@ -1,11 +1,12 @@
 //! Domain names: parsing, formatting, and wire encoding with
 //! compression.
 //!
-//! Names are stored as a sequence of labels in their original case;
-//! comparison and compression are case-insensitive per RFC 1035 §2.3.3.
-//! Encoding writes compression pointers to earlier occurrences of any
-//! suffix; decoding follows pointers with strict backwards-only and
-//! loop-count protection.
+//! A name is one flat buffer of length-prefixed labels in their
+//! original case — its uncompressed wire form minus the root byte — so
+//! it costs at most one heap allocation. Comparison and compression are
+//! case-insensitive per RFC 1035 §2.3.3. Encoding writes compression
+//! pointers to earlier occurrences of any suffix; decoding follows
+//! pointers with strict backwards-only and loop-count protection.
 
 use crate::wire::{WireError, WireReader, WireWriter};
 
@@ -16,15 +17,36 @@ pub const MAX_LABEL_LEN: usize = 63;
 pub const MAX_NAME_LEN: usize = 255;
 
 /// A fully-qualified domain name, e.g. `google.com.`
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    /// Each label as a length byte followed by its bytes; no
+    /// terminating root byte, so the root name is empty.
+    wire: Box<[u8]>,
+}
+
+/// Iterator over a name's labels, leftmost first.
+#[derive(Debug, Clone)]
+pub struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, tail) = self.rest.split_first()?;
+        let (label, rest) = tail.split_at(len as usize);
+        self.rest = rest;
+        Some(label)
+    }
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name {
+            wire: Box::default(),
+        }
     }
 
     /// Parse from presentation format (`"www.google.com"`, trailing dot
@@ -35,7 +57,6 @@ impl Name {
         if s.is_empty() {
             return Ok(Name::root());
         }
-        let mut labels = Vec::new();
         for part in s.split('.') {
             if part.is_empty() {
                 return Err(WireError::Invalid("empty label"));
@@ -43,75 +64,58 @@ impl Name {
             if part.len() > MAX_LABEL_LEN {
                 return Err(WireError::NameTooLong);
             }
-            labels.push(part.as_bytes().to_vec());
         }
-        let name = Name { labels };
-        if name.wire_len() > MAX_NAME_LEN {
+        // One length byte per label replaces its dot, plus the first.
+        if s.len() + 2 > MAX_NAME_LEN {
             return Err(WireError::NameTooLong);
         }
-        Ok(name)
+        let mut wire = Vec::with_capacity(s.len() + 1);
+        for part in s.split('.') {
+            wire.push(part.len() as u8);
+            wire.extend_from_slice(part.as_bytes());
+        }
+        Ok(Name { wire: wire.into() })
     }
 
-    pub fn labels(&self) -> &[Vec<u8>] {
-        &self.labels
+    pub fn labels(&self) -> Labels<'_> {
+        Labels { rest: &self.wire }
     }
 
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Uncompressed wire length: one length byte per label + label bytes
     /// + the terminating root byte.
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| 1 + l.len()).sum::<usize>() + 1
+        self.wire.len() + 1
     }
 
-    /// Case-insensitive equality per RFC 1035.
+    /// Case-insensitive equality per RFC 1035. Length bytes never fall
+    /// in the ASCII letter range, so folding the flat form is exact.
     pub fn eq_ignore_case(&self, other: &Name) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(&other.labels)
-                .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        self.wire.eq_ignore_ascii_case(&other.wire)
     }
 
     /// The name minus its first label (`www.google.com` -> `google.com`).
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let first = *self.wire.first()? as usize;
+        Some(Name {
+            wire: self.wire[1 + first..].into(),
+        })
     }
 
     /// True if `self` equals `zone` or is beneath it (case-insensitive).
     pub fn is_subdomain_of(&self, zone: &Name) -> bool {
-        if zone.labels.len() > self.labels.len() {
-            return false;
+        let mut rest: &[u8] = &self.wire;
+        while rest.len() > zone.wire.len() {
+            rest = &rest[1 + rest[0] as usize..];
         }
-        let offset = self.labels.len() - zone.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(&zone.labels)
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
-    }
-
-    /// Case-normalised key for a suffix starting at label `from`, used
-    /// by the compression dictionary.
-    fn suffix_key(&self, from: usize) -> Vec<u8> {
-        let mut key = Vec::new();
-        for label in &self.labels[from..] {
-            key.push(label.len() as u8);
-            key.extend(label.iter().map(|b| b.to_ascii_lowercase()));
-        }
-        key
+        rest.eq_ignore_ascii_case(&zone.wire)
     }
 
     /// Append the case-normalised (lowercased) uncompressed wire form to
@@ -120,26 +124,23 @@ impl Name {
     /// iff they are [`eq_ignore_case`](Name::eq_ignore_case)-equal, so
     /// this is the canonical case-insensitive map key for a name.
     pub fn append_lower_wire(&self, out: &mut Vec<u8>) {
-        for label in &self.labels {
-            out.push(label.len() as u8);
-            out.extend(label.iter().map(|b| b.to_ascii_lowercase()));
-        }
+        out.extend(self.wire.iter().map(u8::to_ascii_lowercase));
     }
 
     /// Encode with compression: at each label boundary, emit a pointer
     /// if this suffix was written before; otherwise write the label and
-    /// remember the suffix.
+    /// remember where the suffix starts.
     pub fn encode(&self, w: &mut WireWriter) {
-        for i in 0..self.labels.len() {
-            let key = self.suffix_key(i);
-            if let Some(off) = w.compression_offset(&key) {
+        let mut rest: &[u8] = &self.wire;
+        while let Some(&len) = rest.first() {
+            if let Some(off) = w.compression_offset(rest) {
                 w.put_u16(0xC000 | off);
                 return;
             }
-            w.remember_name(key, w.len());
-            let label = &self.labels[i];
-            w.put_u8(label.len() as u8);
+            w.remember_name(w.len());
+            let (label, tail) = rest.split_at(1 + len as usize);
             w.put_slice(label);
+            rest = tail;
         }
         w.put_u8(0); // root
     }
@@ -147,25 +148,23 @@ impl Name {
     /// Encode without compression (used inside RDATA types where
     /// compression is forbidden, e.g. SVCB targets per RFC 9460).
     pub fn encode_uncompressed(&self, w: &mut WireWriter) {
-        for label in &self.labels {
-            w.put_u8(label.len() as u8);
-            w.put_slice(label);
-        }
+        w.put_slice(&self.wire);
         w.put_u8(0);
     }
 
     /// Decode a (possibly compressed) name.
     pub fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut labels = Vec::new();
-        let mut wire_len = 1usize; // terminating root byte
-                                   // After following the first pointer, the reader must be restored
-                                   // to the position just past the pointer.
+        // Assembled on the stack, so the name allocates exactly once.
+        let mut flat = [0u8; MAX_NAME_LEN];
+        let mut len = 0usize;
+        // After following the first pointer, the reader must be restored
+        // to the position just past the pointer.
         let mut resume: Option<usize> = None;
         // Pointers must strictly decrease to rule out loops.
         let mut last_pointer = usize::MAX;
         loop {
-            let len = r.get_u8()?;
-            match len {
+            let byte = r.get_u8()?;
+            match byte {
                 0 => break,
                 l if l & 0xC0 == 0xC0 => {
                     let lo = r.get_u8()? as usize;
@@ -181,28 +180,58 @@ impl Name {
                 }
                 l if l & 0xC0 != 0 => return Err(WireError::BadLabelType),
                 l => {
-                    let label = r.get_slice(l as usize)?.to_vec();
-                    wire_len += 1 + label.len();
-                    if wire_len > MAX_NAME_LEN {
+                    let label = r.get_slice(l as usize)?;
+                    // The label, its length byte and the root byte.
+                    if len + label.len() + 2 > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    labels.push(label);
+                    flat[len] = l;
+                    flat[len + 1..len + 1 + label.len()].copy_from_slice(label);
+                    len += 1 + label.len();
                 }
             }
         }
         if let Some(pos) = resume {
             r.seek(pos)?;
         }
-        Ok(Name { labels })
+        Ok(Name {
+            wire: flat[..len].into(),
+        })
+    }
+}
+
+/// Label-wise order, as if the name were a list of byte-string labels.
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.labels().cmp(other.labels())
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Prints the label list, e.g. `Name { labels: [[97], [98]] }` for `a.b.`
+impl std::fmt::Debug for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct List<'a>(&'a Name);
+        impl std::fmt::Debug for List<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.0.labels()).finish()
+            }
+        }
+        f.debug_struct("Name").field("labels", &List(self)).finish()
     }
 }
 
 impl std::fmt::Display for Name {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return f.write_str(".");
         }
-        for label in &self.labels {
+        for label in self.labels() {
             for &b in label {
                 if b.is_ascii_graphic() && b != b'.' && b != b'\\' {
                     write!(f, "{}", b as char)?;
@@ -263,22 +292,23 @@ impl NameInterner {
     /// Intern `name`, returning its id — existing if a case-equal name
     /// was interned before, freshly assigned otherwise.
     pub fn intern(&mut self, name: &Name) -> NameId {
-        let mut key = Vec::with_capacity(name.wire_len());
-        name.append_lower_wire(&mut key);
-        if let Some(&id) = self.ids.get(&key) {
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let key = lower_key(name, &mut buf);
+        if let Some(&id) = self.ids.get(key) {
             return NameId(id);
         }
         let id = self.names.len() as u32;
+        self.ids.insert(key.to_vec(), id);
         self.names.push(name.clone());
-        self.ids.insert(key, id);
         NameId(id)
     }
 
     /// The id of a previously interned name, without interning.
     pub fn get(&self, name: &Name) -> Option<NameId> {
-        let mut key = Vec::with_capacity(name.wire_len());
-        name.append_lower_wire(&mut key);
-        self.ids.get(&key).map(|&id| NameId(id))
+        let mut buf = [0u8; MAX_NAME_LEN];
+        self.ids
+            .get(lower_key(name, &mut buf))
+            .map(|&id| NameId(id))
     }
 
     /// The canonical (first-interned) spelling behind an id.
@@ -298,6 +328,16 @@ impl NameInterner {
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
+}
+
+/// `name`'s case-normalised map key (see [`Name::append_lower_wire`]),
+/// built in `buf` rather than on the heap.
+fn lower_key<'a>(name: &Name, buf: &'a mut [u8; MAX_NAME_LEN]) -> &'a [u8] {
+    let key = &mut buf[..name.wire.len()];
+    for (k, b) in key.iter_mut().zip(name.wire.iter()) {
+        *k = b.to_ascii_lowercase();
+    }
+    key
 }
 
 #[cfg(test)]
@@ -498,7 +538,7 @@ mod tests {
     #[test]
     fn display_escapes_non_printable() {
         let n = Name {
-            labels: vec![vec![0x07, b'.']],
+            wire: vec![2, 0x07, b'.'].into(),
         };
         assert_eq!(n.to_string(), "\\007\\046.");
     }

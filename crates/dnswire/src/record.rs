@@ -26,6 +26,14 @@ impl SvcParam {
         }
     }
 
+    fn value_len(&self) -> usize {
+        match self {
+            SvcParam::Alpn(protos) => protos.iter().map(|p| 1 + p.len()).sum(),
+            SvcParam::Port(_) => 2,
+            SvcParam::Unknown(_, v) => v.len(),
+        }
+    }
+
     fn encode_value(&self, w: &mut WireWriter) {
         match self {
             SvcParam::Alpn(protos) => {
@@ -114,6 +122,23 @@ impl RData {
             RData::Svcb { .. } => RecordType::Svcb,
             RData::Opt(_) | RData::Unknown(_) => return None,
         })
+    }
+
+    /// The RDATA's length with every name written uncompressed: an
+    /// upper bound on what [`RData::encode`] writes.
+    pub(crate) fn uncompressed_len(&self) -> usize {
+        match self {
+            RData::A(_) => 4,
+            RData::Aaaa(_) => 16,
+            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => n.wire_len(),
+            RData::Mx { exchange, .. } => 2 + exchange.wire_len(),
+            RData::Txt(strings) => strings.iter().map(|s| 1 + s.len()).sum(),
+            RData::Soa { mname, rname, .. } => mname.wire_len() + rname.wire_len() + 20,
+            RData::Svcb { target, params, .. } => {
+                2 + target.wire_len() + params.iter().map(|p| 4 + p.value_len()).sum::<usize>()
+            }
+            RData::Opt(raw) | RData::Unknown(raw) => raw.len(),
+        }
     }
 
     /// Encode the RDATA body. Names inside RDATA that RFC 1035 §3.3
@@ -277,6 +302,11 @@ impl ResourceRecord {
             ttl,
             rdata,
         }
+    }
+
+    /// The record's length with every name written uncompressed.
+    pub(crate) fn uncompressed_len(&self) -> usize {
+        self.name.wire_len() + 10 + self.rdata.uncompressed_len()
     }
 
     pub fn encode(&self, w: &mut WireWriter) {

@@ -1,11 +1,9 @@
 //! Low-level wire reading and writing.
 //!
 //! [`WireWriter`] appends big-endian integers and byte slices to a
-//! growable buffer and maintains the name-compression dictionary.
+//! growable buffer and remembers where names start, for compression.
 //! [`WireReader`] is a bounds-checked cursor over received bytes; all
 //! failures surface as [`WireError`] — malformed input can never panic.
-
-use std::collections::HashMap;
 
 /// Decoding / encoding errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,19 +37,44 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Growable output buffer with the name-compression dictionary.
-#[derive(Debug, Default)]
+/// How many name offsets a writer remembers before it allocates.
+const INLINE_OFFSETS: usize = 32;
+
+/// Growable output buffer that remembers where name suffixes start,
+/// for compression.
+///
+/// Offsets of every name suffix written with compression are kept in
+/// writing order; a suffix is found again by comparing it against the
+/// output itself, so no per-suffix key is ever built. The first 32
+/// live inline, so a typical message compresses without allocating. Only offsets < 0x4000 are usable as pointer
+/// targets.
+#[derive(Debug)]
 pub struct WireWriter {
     buf: Vec<u8>,
-    /// Maps a (case-normalised) name suffix to the offset of its first
-    /// occurrence, for compression pointers. Only offsets < 0x4000 are
-    /// usable as pointer targets.
-    name_offsets: HashMap<Vec<u8>, u16>,
+    inline_offsets: [u16; INLINE_OFFSETS],
+    inline_len: usize,
+    more_offsets: Vec<u16>,
+}
+
+impl Default for WireWriter {
+    fn default() -> Self {
+        WireWriter::with_capacity(0)
+    }
 }
 
 impl WireWriter {
     pub fn new() -> Self {
         WireWriter::default()
+    }
+
+    /// A writer whose buffer holds `capacity` bytes before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(capacity),
+            inline_offsets: [0; INLINE_OFFSETS],
+            inline_len: 0,
+            more_offsets: Vec::new(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -84,17 +107,64 @@ impl WireWriter {
         self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
 
-    /// Look up a previously written name suffix.
-    pub fn compression_offset(&self, key: &[u8]) -> Option<u16> {
-        self.name_offsets.get(key).copied()
+    /// The first remembered offset whose name spells `suffix` — a flat
+    /// sequence of length-prefixed labels without the root byte —
+    /// case-insensitively.
+    pub fn compression_offset(&self, suffix: &[u8]) -> Option<u16> {
+        self.inline_offsets[..self.inline_len]
+            .iter()
+            .chain(&self.more_offsets)
+            .copied()
+            .find(|&at| self.name_at_eq(at as usize, suffix))
     }
 
-    /// Remember that `key` (a case-normalised suffix) starts at `offset`.
-    pub fn remember_name(&mut self, key: Vec<u8>, offset: usize) {
+    /// Remember that a name suffix starts at `offset`.
+    pub fn remember_name(&mut self, offset: usize) {
         // Pointers can only address the first 16 KiB minus the two
         // pointer tag bits.
-        if offset < 0x4000 {
-            self.name_offsets.entry(key).or_insert(offset as u16);
+        if offset >= 0x4000 {
+            return;
+        }
+        if self.inline_len < INLINE_OFFSETS {
+            self.inline_offsets[self.inline_len] = offset as u16;
+            self.inline_len += 1;
+        } else {
+            self.more_offsets.push(offset as u16);
+        }
+    }
+
+    /// Whether the name written at `at` (following pointers, which
+    /// `Name::encode` only ever writes backwards) equals `want`
+    /// case-insensitively. A name still being written runs into the end
+    /// of the buffer; it is longer than any suffix of itself, so that is
+    /// a mismatch.
+    fn name_at_eq(&self, mut at: usize, mut want: &[u8]) -> bool {
+        loop {
+            let Some(&len) = self.buf.get(at) else {
+                return false;
+            };
+            if len & 0xC0 == 0xC0 {
+                let Some(&lo) = self.buf.get(at + 1) else {
+                    return false;
+                };
+                let target = (((len & 0x3F) as usize) << 8) | lo as usize;
+                if target >= at {
+                    return false;
+                }
+                at = target;
+                continue;
+            }
+            if len == 0 {
+                return want.is_empty();
+            }
+            // The length byte and the label; length bytes are never
+            // ASCII letters, so folding them is harmless.
+            let n = 1 + len as usize;
+            if want.len() < n || !self.buf[at..at + n].eq_ignore_ascii_case(&want[..n]) {
+                return false;
+            }
+            at += n;
+            want = &want[n..];
         }
     }
 
@@ -228,17 +298,47 @@ mod tests {
     }
 
     #[test]
-    fn compression_dictionary_first_offset_wins() {
+    fn compression_lookup_first_offset_wins() {
         let mut w = WireWriter::new();
-        w.remember_name(b"example.com".to_vec(), 12);
-        w.remember_name(b"example.com".to_vec(), 40);
-        assert_eq!(w.compression_offset(b"example.com"), Some(12));
+        for at in [0, 13] {
+            assert_eq!(w.len(), at);
+            w.remember_name(at);
+            w.put_slice(b"\x07example\x03com\x00");
+        }
+        assert_eq!(w.compression_offset(b"\x07EXAMPLE\x03com"), Some(0));
+        assert_eq!(w.compression_offset(b"\x07example"), None);
+        assert_eq!(w.compression_offset(b"\x03com"), None);
     }
 
     #[test]
-    fn compression_dictionary_ignores_unreachable_offsets() {
+    fn compression_lookup_follows_pointers() {
         let mut w = WireWriter::new();
-        w.remember_name(b"x".to_vec(), 0x4000);
-        assert_eq!(w.compression_offset(b"x"), None);
+        w.remember_name(0);
+        w.put_slice(b"\x03com\x00");
+        w.remember_name(w.len());
+        w.put_slice(b"\x01a\xC0\x00");
+        assert_eq!(w.compression_offset(b"\x01A\x03com"), Some(5));
+        assert_eq!(w.compression_offset(b"\x01a"), None);
+    }
+
+    #[test]
+    fn compression_lookup_spills_past_the_inline_offsets() {
+        let mut w = WireWriter::new();
+        for i in 0..INLINE_OFFSETS as u8 + 8 {
+            w.remember_name(w.len());
+            w.put_slice(&[1, b'a' + i % 26, 1, i, 0]);
+        }
+        let last = INLINE_OFFSETS as u8 + 7;
+        let want = [1, b'a' + last % 26, 1, last];
+        assert_eq!(w.compression_offset(&want), Some(5 * last as u16));
+    }
+
+    #[test]
+    fn compression_lookup_ignores_unreachable_offsets() {
+        let mut w = WireWriter::new();
+        w.put_slice(&[0; 0x4000]);
+        w.remember_name(0x4000);
+        w.put_slice(b"\x01x\x00");
+        assert_eq!(w.compression_offset(b"\x01x"), None);
     }
 }

@@ -70,6 +70,21 @@ fn arb_message() -> impl Strategy<Value = Message> {
         })
 }
 
+/// A decoded name respects the label and name limits, and its
+/// uncompressed form decodes back to it.
+fn assert_flat_name_is_well_formed(name: &Name) {
+    assert!(name.wire_len() <= 255);
+    assert!(name.labels().all(|l| !l.is_empty() && l.len() <= 63));
+    assert_eq!(name.label_count(), name.labels().count());
+    let mut w = WireWriter::new();
+    name.encode_uncompressed(&mut w);
+    let buf = w.finish();
+    assert_eq!(buf.len(), name.wire_len());
+    let mut r = WireReader::new(&buf);
+    assert_eq!(&Name::decode(&mut r).unwrap(), name);
+    assert!(r.is_at_end());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -106,6 +121,40 @@ proptest! {
             wire[at] = new_byte;
         }
         let _ = Message::decode(&wire);
+    }
+
+    #[test]
+    fn name_decoder_never_panics_on_garbage(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        start in any::<usize>(),
+    ) {
+        let mut r = WireReader::new(&bytes);
+        r.seek(start % (bytes.len() + 1)).unwrap();
+        if let Ok(name) = Name::decode(&mut r) {
+            assert_flat_name_is_well_formed(&name);
+        }
+    }
+
+    #[test]
+    fn name_decoder_never_panics_on_mutated_names(
+        msg in arb_message(),
+        flip_at in any::<usize>(),
+        new_byte in any::<u8>(),
+        start in any::<usize>(),
+    ) {
+        // Mutations of a real message hit compression pointers and
+        // length bytes; decode a name from every offset of it.
+        let mut wire = msg.encode();
+        let at = flip_at % wire.len();
+        wire[at] = new_byte;
+        let from = start % wire.len();
+        for pos in (from..wire.len()).chain(0..from) {
+            let mut r = WireReader::new(&wire);
+            r.seek(pos).unwrap();
+            if let Ok(name) = Name::decode(&mut r) {
+                assert_flat_name_is_well_formed(&name);
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub struct DoHClient {
     /// handshake ride the first flight as early data instead of
     /// queueing (rejects replay after the handshake).
     early_permitted: bool,
-    /// Queries issued before the connection was usable.
-    queued: Vec<Message>,
+    /// Encoded queries issued before the connection was usable.
+    queued: Vec<Vec<u8>>,
     outstanding: usize,
     session_out: SessionState,
 }
@@ -57,8 +57,7 @@ impl DoHClient {
         }
     }
 
-    fn send_request(&mut self, now: SimTime, msg: &Message) {
-        let body = msg.encode();
+    fn send_request(&mut self, now: SimTime, body: Vec<u8>) {
         let headers = doh_request_headers(&self.authority, body.len());
         let header_refs: Vec<(&str, &str)> = headers
             .iter()
@@ -77,8 +76,8 @@ impl DoHClient {
         // Flush queued queries once TLS is up (HTTP/2 bytes themselves
         // ride as TLS application data, including 0-RTT).
         if self.tls.is_connected() && !self.queued.is_empty() {
-            for msg in std::mem::take(&mut self.queued) {
-                self.send_request(now, &msg);
+            for body in std::mem::take(&mut self.queued) {
+                self.send_request(now, body);
             }
         }
         // TCP -> TLS -> HTTP/2.
@@ -136,15 +135,16 @@ impl DnsClientConn for DoHClient {
     }
 
     fn query(&mut self, now: SimTime, msg: &Message) {
+        let body = msg.encode();
         if self.tls.is_connected() {
-            self.send_request(now, msg);
+            self.send_request(now, body);
         } else if self.early_permitted && !self.tls_started {
             // The H2 request bytes join the preface in the TLS engine's
             // pending buffer and ride the ClientHello as 0-RTT early
             // data; a rejection replays them after the handshake.
-            self.send_request(now, msg);
+            self.send_request(now, body);
         } else {
-            self.queued.push(msg.clone());
+            self.queued.push(body);
         }
     }
 

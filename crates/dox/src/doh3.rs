@@ -14,7 +14,7 @@ use doqlab_netstack::tls::TlsConfig;
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A DoH3 client connection.
 #[derive(Debug)]
@@ -27,9 +27,10 @@ pub struct DoH3Client {
     authority: String,
     conn: Option<QuicConnection>,
     control_sent: bool,
-    queued: Vec<Message>,
+    /// The original id and the encoding with id 0.
+    queued: Vec<(u16, Vec<u8>)>,
     /// request stream -> original query id.
-    inflight: HashMap<u64, (u16, Vec<u8>)>,
+    inflight: BTreeMap<u64, (u16, Vec<u8>)>,
     responses: Vec<(SimTime, Message)>,
     session_out: SessionState,
     early_permitted: bool,
@@ -61,7 +62,7 @@ impl DoH3Client {
             conn: None,
             control_sent: false,
             queued: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             responses: Vec::new(),
             session_out: SessionState::default(),
             early_permitted,
@@ -78,10 +79,8 @@ impl DoH3Client {
             let control = conn.open_uni();
             conn.stream_send(control, &control_stream_preamble(), false);
         }
-        for mut msg in std::mem::take(&mut self.queued) {
-            let orig_id = msg.header.id;
-            msg.header.id = 0; // cache-friendly, like DoH (RFC 8484 §4.1)
-            let request = doh3_request(&self.authority, msg.encode());
+        for (orig_id, wire) in std::mem::take(&mut self.queued) {
+            let request = doh3_request(&self.authority, wire);
             let stream = conn.open_bi();
             conn.stream_send(stream, &request.encode(), true);
             sink::emit(now.as_nanos(), || Event::HttpRequestSent {
@@ -162,7 +161,8 @@ impl DnsClientConn for DoH3Client {
     }
 
     fn query(&mut self, _now: SimTime, msg: &Message) {
-        self.queued.push(msg.clone());
+        // Id 0 is cache-friendly, like DoH (RFC 8484 §4.1).
+        self.queued.push((msg.header.id, msg.encode_with_id(0)));
     }
 
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {

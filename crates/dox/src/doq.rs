@@ -15,7 +15,7 @@ use doqlab_dnswire::{framing, LengthPrefixedReader, Message};
 use doqlab_netstack::quic::{QuicConfig, QuicConnection, QuicError, QUIC_V1};
 use doqlab_netstack::tls::TlsConfig;
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Classify a dead QUIC connection for the failure taxonomy. `None`
 /// while the connection is healthy or the error struck after the
@@ -44,10 +44,11 @@ pub struct DoQClient {
     initial_version: u32,
     session_in: SessionState,
     conn: Option<QuicConnection>,
-    /// Queries waiting for the stream mapping to be known.
-    queued: Vec<Message>,
+    /// Queries waiting for the stream mapping to be known: the original
+    /// id and the encoding with id 0 (RFC 9250 §4.2.1).
+    queued: Vec<(u16, Vec<u8>)>,
     /// stream id -> (original query id, response reassembly).
-    inflight: HashMap<u64, (u16, LengthPrefixedReader, Vec<u8>)>,
+    inflight: BTreeMap<u64, (u16, LengthPrefixedReader, Vec<u8>)>,
     alpn: Option<DoqAlpn>,
     responses: Vec<(SimTime, Message)>,
     session_out: SessionState,
@@ -78,7 +79,7 @@ impl DoQClient {
             session_in: cfg.session.clone(),
             conn: None,
             queued: Vec::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             alpn: None,
             responses: Vec::new(),
             session_out: SessionState::default(),
@@ -112,10 +113,7 @@ impl DoQClient {
     fn flush_queries(&mut self) {
         let Some(alpn) = self.alpn else { return };
         let Some(conn) = &mut self.conn else { return };
-        for mut msg in std::mem::take(&mut self.queued) {
-            let orig_id = msg.header.id;
-            msg.header.id = 0; // RFC 9250 §4.2.1
-            let wire = msg.encode();
+        for (orig_id, wire) in std::mem::take(&mut self.queued) {
             let payload = if alpn.uses_length_prefix() {
                 framing::frame(&wire)
             } else {
@@ -202,7 +200,7 @@ impl DnsClientConn for DoQClient {
     }
 
     fn query(&mut self, now: SimTime, msg: &Message) {
-        self.queued.push(msg.clone());
+        self.queued.push((msg.header.id, msg.encode_with_id(0)));
         let _ = now;
     }
 

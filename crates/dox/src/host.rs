@@ -175,13 +175,13 @@ impl DnsClientHost {
     }
 
     /// Queue a query and open the connection (idempotent open).
-    pub fn start_with_query(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
+    pub fn start_with_query(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         if self.pooled() {
             self.pool_query(ctx, msg);
             return;
         }
-        self.issued.push(msg.clone());
-        self.conn.query(ctx.now, msg);
+        self.conn.query(ctx.now, &msg);
+        self.issued.push(msg);
         let mut out = Vec::new();
         if self.started_at.is_none() {
             self.started_at = Some(ctx.now);
@@ -356,8 +356,7 @@ impl DnsClientHost {
     /// Issue a query on the pooled connection, dialing one if none is
     /// live. Reuse of an established connection is the pooling payoff
     /// and is counted as such.
-    fn pool_query(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
-        self.pending.push((ctx.now, msg.clone()));
+    fn pool_query(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
         self.last_activity = ctx.now;
         let mut out = Vec::new();
         if self.dialed {
@@ -365,9 +364,11 @@ impl DnsClientHost {
                 self.pool_reuses += 1;
                 metrics::count(Counter::PoolReuse, 1);
             }
-            self.conn.query(ctx.now, msg);
+            self.conn.query(ctx.now, &msg);
+            self.pending.push((ctx.now, msg));
             self.conn.poll(ctx.now, &mut out);
         } else {
+            self.pending.push((ctx.now, msg));
             self.pool_dial(ctx.now, ctx.rng, &mut out);
         }
         for p in out {
@@ -398,8 +399,7 @@ impl DnsClientHost {
         if self.started_at.is_none() {
             self.started_at = Some(now);
         }
-        let pending: Vec<Message> = self.pending.iter().map(|(_, q)| q.clone()).collect();
-        for q in &pending {
+        for (_, q) in &self.pending {
             self.conn.query(now, q);
         }
         self.conn.start(now, rng, out);

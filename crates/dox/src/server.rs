@@ -564,8 +564,7 @@ impl DnsServerSet {
             }
             ConnKey::Tcp(peer) => {
                 if let Some(sock) = self.tcp.connection(peer) {
-                    let mut msg = msg.clone();
-                    if self.cfg.tcp_keepalive {
+                    let wire = if self.cfg.tcp_keepalive {
                         // RFC 7828: advertise an idle timeout (in units
                         // of 100 ms) so the client holds the connection.
                         // Merge into any OPT already on the response —
@@ -575,11 +574,11 @@ impl DnsServerSet {
                         if opt.tcp_keepalive().is_none() {
                             opt.options.push(EdnsOption::TcpKeepalive(Some(300)));
                         }
-                        msg.additionals
-                            .retain(|rr| rr.rtype != doqlab_dnswire::RecordType::Opt);
-                        msg.additionals.push(opt.to_record());
-                    }
-                    sock.send(&framing::frame(&msg.encode()));
+                        msg.encode_with_opt(&opt.to_record())
+                    } else {
+                        msg.encode()
+                    };
+                    sock.send(&framing::frame(&wire));
                     if self.cfg.close_tcp_after_response && !self.cfg.tcp_keepalive {
                         self.tcp_closing.push(peer);
                     }
@@ -611,13 +610,11 @@ impl DnsServerSet {
             ConnKey::Doq { peer, port, stream } => {
                 if let Some((_, server)) = self.doq.iter_mut().find(|(p, _)| *p == port) {
                     if let Some(conn) = server.connection(peer) {
-                        let mut resp = msg.clone();
-                        resp.header.id = 0; // RFC 9250
                         let alpn = conn
                             .negotiated_alpn()
                             .and_then(DoqAlpn::from_wire)
                             .unwrap_or(DoqAlpn::Rfc9250);
-                        let wire = resp.encode();
+                        let wire = msg.encode_with_id(0); // RFC 9250
                         let payload = if alpn.uses_length_prefix() {
                             framing::frame(&wire)
                         } else {

@@ -8,7 +8,7 @@
 //! measured as an ablation.
 
 use crate::client::{ClientConfig, DnsClientConn, FailureKind, SessionState};
-use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message, RecordType};
+use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message};
 use doqlab_netstack::tcp::{TcpConfig, TcpFailure, TcpSegment, TcpSocket};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
@@ -129,18 +129,18 @@ impl DnsClientConn for DoTcpClient {
 
     fn query(&mut self, _now: SimTime, msg: &Message) {
         self.pending.insert(msg.header.id);
-        let mut msg = msg.clone();
-        if self.request_keepalive {
+        let wire = if self.request_keepalive {
             // RFC 7828 §3.2.1: the client sends the option with no
             // timeout, merged into the query's OPT record.
             let mut opt = msg.opt().unwrap_or_default();
             if opt.tcp_keepalive().is_none() {
                 opt.options.push(EdnsOption::TcpKeepalive(None));
             }
-            msg.additionals.retain(|rr| rr.rtype != RecordType::Opt);
-            msg.additionals.push(opt.to_record());
-        }
-        self.tcp.send(&framing::frame(&msg.encode()));
+            msg.encode_with_opt(&opt.to_record())
+        } else {
+            msg.encode()
+        };
+        self.tcp.send(&framing::frame(&wire));
     }
 
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {

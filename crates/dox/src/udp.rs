@@ -9,7 +9,7 @@
 use crate::client::{ClientConfig, DnsClientConn, SessionState};
 use doqlab_dnswire::Message;
 use doqlab_simnet::{Duration, Packet, SimRng, SimTime, SocketAddr};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A DoUDP client "connection" (a socket pair, really).
 #[derive(Debug)]
@@ -23,7 +23,7 @@ pub struct DoUdpClient {
     /// whose retries are exhausted are removed at their final deadline,
     /// so `next_timeout` never advertises a deadline nothing will act
     /// on.
-    pending: HashMap<u16, (Vec<u8>, u32, SimTime)>,
+    pending: BTreeMap<u16, (Vec<u8>, u32, SimTime)>,
     responses: Vec<(SimTime, Message)>,
     failed: bool,
     /// Queries issued before `start`.
@@ -44,7 +44,7 @@ impl DoUdpClient {
             retry_timeout: cfg.udp_retry_timeout,
             max_retries: cfg.udp_max_retries,
             started_at: None,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             responses: Vec::new(),
             failed: false,
             queued: Vec::new(),

@@ -79,7 +79,7 @@ fn run_query(
     let client = DnsClientHost::new(transport, local, remote, &client_cfg);
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
     let q = Message::query(0x0D0A, Name::parse("google.com").unwrap(), RecordType::A);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, q.clone()));
     sim.run_until(SimTime::from_secs(10));
     let total_bytes = {
         let t = sim.trace().unwrap();
@@ -176,7 +176,7 @@ fn default_resolvers_do_not_speak_doh3() {
     );
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
     let q = Message::query(1, Name::parse("x.y").unwrap(), RecordType::A);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, q.clone()));
     sim.run_until(SimTime::from_secs(40));
     assert!(sim.host::<DnsClientHost>(cid).responses.is_empty());
 }

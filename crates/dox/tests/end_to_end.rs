@@ -99,7 +99,7 @@ fn run_query(
     let remote = SocketAddr::new(resolver_ip(), transport.port());
     let client = DnsClientHost::new(transport, local, remote, &client_cfg);
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, query()));
     sim.run_until(SimTime::from_secs(20));
     let client = sim.host_mut::<DnsClientHost>(cid);
     assert!(!client.responses.is_empty(), "{transport}: no response");
@@ -409,7 +409,7 @@ fn edns_version_above_zero_gets_badvers_not_an_answer() {
         let remote = SocketAddr::new(resolver_ip(), transport.port());
         let client = DnsClientHost::new(transport, local, remote, &ClientConfig::default());
         let cid = sim.add_host(Box::new(client), &[client_ip()]);
-        sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &v1_query()));
+        sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, v1_query()));
         sim.run_until(SimTime::from_secs(20));
         let client = sim.host_mut::<DnsClientHost>(cid);
         assert!(!client.responses.is_empty(), "{transport}: no BADVERS");
@@ -445,7 +445,7 @@ fn badvers_survives_the_keepalive_opt_merge_on_dotcp() {
     let remote = SocketAddr::new(resolver_ip(), DnsTransport::DoTcp.port());
     let client = DnsClientHost::new(DnsTransport::DoTcp, local, remote, &ClientConfig::default());
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &v1_query()));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, v1_query()));
     sim.run_until(SimTime::from_secs(20));
     let client = sim.host_mut::<DnsClientHost>(cid);
     assert!(!client.responses.is_empty());
@@ -466,7 +466,7 @@ fn unsupported_protocol_gets_no_answer() {
     let remote = SocketAddr::new(resolver_ip(), 53);
     let client = DnsClientHost::new(DnsTransport::DoUdp, local, remote, &ClientConfig::default());
     let cid = sim.add_host(Box::new(client), &[client_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, query()));
     sim.run_until(SimTime::from_secs(30));
     let client = sim.host_mut::<DnsClientHost>(cid);
     assert!(client.responses.is_empty());
@@ -497,7 +497,7 @@ fn table1_size_shape_holds_per_transport() {
         let remote = SocketAddr::new(resolver_ip(), transport.port());
         let client = DnsClientHost::new(transport, local, remote, &ClientConfig::default());
         let cid = sim.add_host(Box::new(client), &[client_ip()]);
-        sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+        sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, query()));
         sim.run_until(SimTime::from_secs(2));
         assert!(
             !sim.host::<DnsClientHost>(cid).responses.is_empty(),

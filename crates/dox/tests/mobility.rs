@@ -96,7 +96,7 @@ fn setup(
     let remote = SocketAddr::new(resolver_ip(), transport.port());
     let client = DnsClientHost::new(transport, local, remote, client_cfg);
     let cid = sim.add_host(Box::new(client), &[wifi_ip()]);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &query()));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, query()));
     (sim, cid)
 }
 

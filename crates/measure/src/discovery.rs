@@ -153,7 +153,7 @@ fn protocol_probe(
     );
     let cid = sim.add_host(Box::new(client), &[scanner_ip]);
     let q = Message::query(0x7357, Name::parse("example.com").unwrap(), RecordType::A);
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, q.clone()));
     // Short verification timeout (under the DoUDP 5 s retry on purpose:
     // a silent resolver counts as unsupported).
     sim.run_until(SimTime::from_secs(4));

@@ -448,7 +448,7 @@ pub fn run_unit_custom(
         &warm_cfg,
     );
     let wid = sim.add_host(Box::new(warm), &[warm_ip]);
-    sim.with_host::<DnsClientHost, _>(wid, |c, ctx| c.start_with_query(ctx, &query));
+    sim.with_host::<DnsClientHost, _>(wid, |c, ctx| c.start_with_query(ctx, query.clone()));
     let warm_deadline = sim.now() + Duration::from_secs(20);
     sim.run_until(warm_deadline);
     // Harvest the warming connection's resumption material through the
@@ -503,7 +503,7 @@ pub fn run_unit_custom(
     if let Some(build) = &opts.impairment {
         sim.set_impairment(Box::new(build(started)));
     }
-    sim.with_host::<DnsClientHost, _>(mid, |c, ctx| c.start_with_query(ctx, &query));
+    sim.with_host::<DnsClientHost, _>(mid, |c, ctx| c.start_with_query(ctx, query));
     let deadline = started + opts.run_deadline;
     let mut hs_at = None;
     if transport != DnsTransport::DoQ || !opts.rebinds.is_empty() {

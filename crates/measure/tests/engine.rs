@@ -66,6 +66,25 @@ fn webperf_campaign_is_thread_count_invariant() {
     assert_eq!(renderings[0], renderings[2], "1 thread vs 8 threads");
 }
 
+#[test]
+fn webperf_campaign_is_rerun_invariant() {
+    // Quick scale, seed 1: enough pages and resolvers that several
+    // origin connections complete in the same event. Reruns in one
+    // process must match exactly, on one worker and on two.
+    let pop = synthesize_dox_population(1);
+    let pages = tranco_top10();
+    for threads in [1, 2] {
+        let mut campaign = WebperfCampaign::new(Scale {
+            threads,
+            ..Scale::quick()
+        });
+        campaign.seed = 1;
+        let first = format!("{:?}", run_webperf_campaign(&campaign, &pop, &pages));
+        let second = format!("{:?}", run_webperf_campaign(&campaign, &pop, &pages));
+        assert!(first == second, "{threads} worker(s): rerun differs");
+    }
+}
+
 fn impairments_scale(threads: usize) -> Scale {
     Scale {
         resolvers: Some(2),

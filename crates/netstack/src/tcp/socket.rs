@@ -19,7 +19,7 @@ use crate::congestion::CongestionController;
 use doqlab_simnet::{Duration, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Connection parameters.
 #[derive(Debug, Clone)]
@@ -924,7 +924,7 @@ impl TcpSocket {
 pub struct TcpListener {
     pub local: SocketAddr,
     cfg: TcpConfig,
-    conns: HashMap<SocketAddr, TcpSocket>,
+    conns: BTreeMap<SocketAddr, TcpSocket>,
 }
 
 impl TcpListener {
@@ -932,7 +932,7 @@ impl TcpListener {
         TcpListener {
             local,
             cfg,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
         }
     }
 

@@ -52,6 +52,14 @@ pub enum CachedAnswer {
     Negative(Rcode),
 }
 
+/// What a cache hit holds, without copying out its records: see
+/// [`DnsCache::probe_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheHit {
+    Records,
+    Negative(Rcode),
+}
+
 #[derive(Debug, Clone)]
 enum Payload {
     Records(Vec<ResourceRecord>),
@@ -120,34 +128,55 @@ impl DnsCache {
         self.get_answer_key(now, Key::interned(id, rtype))
     }
 
+    /// Whether a live entry answers `(id, rtype)`, counted exactly
+    /// like [`get_answer_id`](DnsCache::get_answer_id) but without
+    /// copying out the records.
+    pub fn probe_id(&mut self, now: SimTime, id: NameId, rtype: RecordType) -> Option<CacheHit> {
+        self.lookup(now, &Key::interned(id, rtype), |payload, _| match payload {
+            Payload::Records(_) => CacheHit::Records,
+            Payload::Negative(rcode) => CacheHit::Negative(*rcode),
+        })
+    }
+
     fn get_answer_key(&mut self, now: SimTime, key: Key) -> Option<CachedAnswer> {
-        match self.entries.get(&key) {
+        self.lookup(now, &key, |payload, expires_at| match payload {
+            Payload::Records(records) => {
+                // Remaining TTL decreases as the entry ages.
+                let remaining = (expires_at - now).as_secs() as u32;
+                CachedAnswer::Records(
+                    records
+                        .iter()
+                        .cloned()
+                        .map(|mut rr| {
+                            rr.ttl = rr.ttl.min(remaining);
+                            rr
+                        })
+                        .collect(),
+                )
+            }
+            Payload::Negative(rcode) => CachedAnswer::Negative(*rcode),
+        })
+    }
+
+    /// Count a lookup as a hit or a miss, evict an expired entry, and
+    /// `read` a live one's payload and expiry.
+    fn lookup<R>(
+        &mut self,
+        now: SimTime,
+        key: &Key,
+        read: impl FnOnce(&Payload, SimTime) -> R,
+    ) -> Option<R> {
+        match self.entries.get(key) {
             Some(e) if e.expires_at > now => {
                 self.hits += 1;
                 metrics::count(Counter::CacheHits, 1);
-                match &e.payload {
-                    Payload::Records(records) => {
-                        // Remaining TTL decreases as the entry ages.
-                        let remaining = (e.expires_at - now).as_secs() as u32;
-                        Some(CachedAnswer::Records(
-                            records
-                                .iter()
-                                .cloned()
-                                .map(|mut rr| {
-                                    rr.ttl = rr.ttl.min(remaining);
-                                    rr
-                                })
-                                .collect(),
-                        ))
-                    }
-                    Payload::Negative(rcode) => {
-                        self.negative_hits += 1;
-                        Some(CachedAnswer::Negative(*rcode))
-                    }
+                if let Payload::Negative(_) = e.payload {
+                    self.negative_hits += 1;
                 }
+                Some(read(&e.payload, e.expires_at))
             }
             Some(_) => {
-                self.entries.remove(&key);
+                self.entries.remove(key);
                 self.misses += 1;
                 self.expired += 1;
                 metrics::count(Counter::CacheMisses, 1);

@@ -13,6 +13,7 @@ use doqlab_dnswire::{Message, Name, Question, RData, Rcode, RecordType, Resource
 use doqlab_dox::server::{ConnKey, DnsServerSet, ServerConfig};
 use doqlab_simnet::{Ctx, Duration, Host, Packet, SimRng, SimTime};
 use std::any::Any;
+use std::sync::LazyLock;
 
 /// Latency model for recursive lookups (log-normal, heavy-tailed like
 /// real recursion which may hit multiple authoritatives).
@@ -77,7 +78,7 @@ pub fn authoritative_answer(q: &Question) -> Vec<ResourceRecord> {
     // NXDOMAIN and RFC 2308 negative caching.
     if q.name
         .labels()
-        .first()
+        .next()
         .is_some_and(|l| l.starts_with(b"nx-"))
     {
         return Vec::new();
@@ -103,6 +104,15 @@ pub fn authoritative_answer(q: &Question) -> Vec<ResourceRecord> {
 /// authority record.
 pub const NEGATIVE_TTL: u32 = 60;
 
+/// Names the resolver answers with or matches on, parsed once: the
+/// negative SOA's MNAME and RNAME, and the DDR name (RFC 9462).
+static SOA_MNAME: LazyLock<Name> =
+    LazyLock::new(|| Name::parse("ns.doqlab.invalid").expect("const"));
+static SOA_RNAME: LazyLock<Name> =
+    LazyLock::new(|| Name::parse("hostmaster.doqlab.invalid").expect("const"));
+static DDR_NAME: LazyLock<Name> =
+    LazyLock::new(|| Name::parse("_dns.resolver.arpa").expect("const"));
+
 /// The SOA record a negative response carries in its authority section
 /// (RFC 2308 §3): its TTL and MINIMUM bound how long the verdict may be
 /// cached.
@@ -114,8 +124,8 @@ pub fn negative_soa(q: &Question) -> ResourceRecord {
         zone,
         NEGATIVE_TTL,
         RData::Soa {
-            mname: Name::parse("ns.doqlab.invalid").expect("const"),
-            rname: Name::parse("hostmaster.doqlab.invalid").expect("const"),
+            mname: SOA_MNAME.clone(),
+            rname: SOA_RNAME.clone(),
             serial: 2022,
             refresh: 3600,
             retry: 600,
@@ -134,9 +144,10 @@ fn negative_response(query: &Message, q: &Question, rcode: Rcode) -> Message {
 }
 
 /// What releasing a pending answer writes back into the cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum CacheFill {
-    Records(Vec<ResourceRecord>),
+    /// The response's answer records.
+    Records,
     Negative(Rcode),
 }
 
@@ -156,6 +167,8 @@ pub struct ResolverHost {
     cache: DnsCache,
     model: RecursionModel,
     pending: Vec<PendingAnswer>,
+    /// Reused per-event output buffer.
+    out: Vec<Packet>,
     /// Statistics.
     pub queries_served: u64,
     pub cache_hits: u64,
@@ -168,6 +181,7 @@ impl ResolverHost {
             cache: DnsCache::new(),
             model,
             pending: Vec::new(),
+            out: Vec::new(),
             queries_served: 0,
             cache_hits: 0,
         }
@@ -216,7 +230,7 @@ impl ResolverHost {
     fn process(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<Packet>) {
         for ev in self.set.take_queries() {
             self.queries_served += 1;
-            let Some(q) = ev.query.question().cloned() else {
+            let Some(q) = ev.query.question() else {
                 let resp = Message::error_response_to(&ev.query, Rcode::FormErr);
                 self.set.respond(ctx.now, ev.key, &resp);
                 continue;
@@ -224,11 +238,8 @@ impl ResolverHost {
             // DDR (RFC 9462): "_dns.resolver.arpa"/SVCB advertises the
             // resolver's encrypted transports — this is how Cloudflare
             // announced DoH3 support (§4 of the paper).
-            if q.rtype == RecordType::Svcb
-                && q.name
-                    .eq_ignore_case(&Name::parse("_dns.resolver.arpa").expect("const"))
-            {
-                let resp = Message::response_to(&ev.query, self.ddr_records(&q));
+            if q.rtype == RecordType::Svcb && q.name.eq_ignore_case(&DDR_NAME) {
+                let resp = Message::response_to(&ev.query, self.ddr_records(q));
                 self.set.respond(ctx.now, ev.key, &resp);
                 continue;
             }
@@ -247,7 +258,7 @@ impl ResolverHost {
                     // RFC 2308: a cached NXDOMAIN/NODATA verdict is
                     // served like any hit — no recursion.
                     self.cache_hits += 1;
-                    let response = negative_response(&ev.query, &q, rcode);
+                    let response = negative_response(&ev.query, q, rcode);
                     self.pending.push(PendingAnswer {
                         due: ctx.now + self.model.hit_delay,
                         key: ev.key,
@@ -256,71 +267,72 @@ impl ResolverHost {
                     });
                 }
                 None => {
-                    let records = authoritative_answer(&q);
+                    let records = authoritative_answer(q);
                     let (response, fill) = if records.is_empty() {
                         (
-                            negative_response(&ev.query, &q, Rcode::NxDomain),
+                            negative_response(&ev.query, q, Rcode::NxDomain),
                             CacheFill::Negative(Rcode::NxDomain),
                         )
                     } else {
-                        (
-                            Message::response_to(&ev.query, records.clone()),
-                            CacheFill::Records(records),
-                        )
+                        (Message::response_to(&ev.query, records), CacheFill::Records)
                     };
                     self.pending.push(PendingAnswer {
                         due: ctx.now + self.model.sample(ctx.rng),
                         key: ev.key,
                         response,
-                        fill: Some((q.name, q.rtype, fill)),
+                        fill: Some((q.name.clone(), q.rtype, fill)),
                     });
                 }
             }
         }
-        // Release due answers.
-        let mut released = Vec::new();
-        self.pending.retain(|p| {
-            if p.due <= ctx.now {
-                released.push((p.key, p.response.clone(), p.fill.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        for (key, response, fill) in released {
-            match fill {
-                Some((name, rtype, CacheFill::Records(records))) => {
-                    self.cache.put(ctx.now, &name, rtype, records);
+        // Release due answers, in arrival order. The answer records
+        // move into the cache once the response is encoded.
+        let now = ctx.now;
+        for p in self.pending.extract_if(.., |p| p.due <= now) {
+            self.set.respond(now, p.key, &p.response);
+            match p.fill {
+                Some((name, rtype, CacheFill::Records)) => {
+                    self.cache.put(now, &name, rtype, p.response.answers);
                 }
                 Some((name, rtype, CacheFill::Negative(rcode))) => {
                     self.cache
-                        .put_negative(ctx.now, &name, rtype, rcode, NEGATIVE_TTL);
+                        .put_negative(now, &name, rtype, rcode, NEGATIVE_TTL);
                 }
                 None => {}
             }
-            self.set.respond(ctx.now, key, &response);
         }
         self.set.poll(ctx.now, out);
+    }
+
+    /// Run `pump` with the reused output buffer, then send what it
+    /// produced.
+    fn with_out(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        pump: impl FnOnce(&mut Self, &mut Ctx<'_>, &mut Vec<Packet>),
+    ) {
+        let mut out = std::mem::take(&mut self.out);
+        pump(self, ctx, &mut out);
+        for p in out.drain(..) {
+            ctx.send(p);
+        }
+        self.out = out;
     }
 }
 
 impl Host for ResolverHost {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
-        let mut out = Vec::new();
-        self.set.on_packet(ctx.now, &pkt, &mut out);
-        self.process(ctx, &mut out);
-        for p in out {
-            ctx.send(p);
-        }
+        self.with_out(ctx, |host, ctx, out| {
+            host.set.on_packet(ctx.now, &pkt, out);
+            host.process(ctx, out);
+        });
     }
 
     fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
-        let mut out = Vec::new();
-        self.set.poll(ctx.now, &mut out);
-        self.process(ctx, &mut out);
-        for p in out {
-            ctx.send(p);
-        }
+        self.with_out(ctx, |host, ctx, out| {
+            host.set.poll(ctx.now, out);
+            host.process(ctx, out);
+        });
     }
 
     fn next_wakeup(&self) -> Option<SimTime> {
@@ -369,7 +381,7 @@ mod tests {
         let started = sim.now();
         sim.with_host::<DnsClientHost, _>(cid, |c, ctx| {
             let q = Message::query(1, Name::parse("google.com").unwrap(), RecordType::A);
-            c.start_with_query(ctx, &q);
+            c.start_with_query(ctx, q.clone());
         });
         sim.run_until(started + Duration::from_secs(15));
         let client = sim.host_mut::<DnsClientHost>(cid);
@@ -407,7 +419,7 @@ mod tests {
             &ClientConfig::default(),
         );
         let c1id = sim.add_host(Box::new(c1), &[c1_ip]);
-        sim.with_host::<DnsClientHost, _>(c1id, |c, ctx| c.start_with_query(ctx, &q));
+        sim.with_host::<DnsClientHost, _>(c1id, |c, ctx| c.start_with_query(ctx, q.clone()));
         sim.run_until(SimTime::from_secs(15));
         let warm_time = sim.host::<DnsClientHost>(c1id).responses[0].0;
 
@@ -420,7 +432,7 @@ mod tests {
         );
         let c2id = sim.add_host(Box::new(c2), &[c2_ip]);
         let t1 = sim.now();
-        sim.with_host::<DnsClientHost, _>(c2id, |c, ctx| c.start_with_query(ctx, &q));
+        sim.with_host::<DnsClientHost, _>(c2id, |c, ctx| c.start_with_query(ctx, q.clone()));
         sim.run_until(t1 + Duration::from_secs(15));
         let hit = sim.host::<DnsClientHost>(c2id).responses[0].0 - t1;
         let miss = warm_time - SimTime::ZERO;
@@ -458,7 +470,7 @@ mod tests {
             );
             let cid = sim.add_host(Box::new(c), &[client_ip]);
             let t0 = sim.now();
-            sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+            sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, q.clone()));
             sim.run_until(t0 + Duration::from_secs(15));
             let resp = &sim.host::<DnsClientHost>(cid).responses[0].1;
             assert_eq!(resp.header.rcode, Rcode::NxDomain);

@@ -32,7 +32,7 @@ pub mod population;
 pub mod stub;
 pub mod workload;
 
-pub use cache::{CachedAnswer, DnsCache};
+pub use cache::{CacheHit, CachedAnswer, DnsCache};
 pub use host::{authoritative_answer, ip_for_domain, ip_for_name, RecursionModel, ResolverHost};
 pub use population::{
     synthesize_dox_population, synthesize_scan_population, ClientPopulation, ResolverProfile,

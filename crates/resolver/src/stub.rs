@@ -21,7 +21,7 @@
 //!   (the same buckets as `doqlab-telemetry`), cache hits counting as
 //!   zero-latency resolutions.
 
-use crate::cache::{CachedAnswer, DnsCache};
+use crate::cache::{CacheHit, DnsCache};
 use crate::host::NEGATIVE_TTL;
 use crate::workload::WorkloadGen;
 use doqlab_dnswire::{Message, NameId, RData, Rcode, RecordType};
@@ -160,13 +160,13 @@ impl StubResolverHost {
         let rank = self.gen.sample_rank(ctx.rng);
         let (name_id, rtype) = self.gen.query_id_for_rank(rank);
         if self.cache_enabled {
-            match self.cache.get_answer_id(ctx.now, name_id, rtype) {
-                Some(CachedAnswer::Records(_)) => {
+            match self.cache.probe_id(ctx.now, name_id, rtype) {
+                Some(CacheHit::Records) => {
                     self.stats.cache_hits += 1;
                     self.record_resolve(0);
                     return;
                 }
-                Some(CachedAnswer::Negative(_)) => {
+                Some(CacheHit::Negative(_)) => {
                     self.stats.cache_hits += 1;
                     self.stats.negative_hits += 1;
                     self.record_resolve(0);
@@ -194,7 +194,7 @@ impl StubResolverHost {
             waiters: vec![ctx.now],
         });
         self.stats.upstream_queries += 1;
-        self.upstream.start_with_query(ctx, &msg);
+        self.upstream.start_with_query(ctx, msg);
     }
 
     /// Negative TTL for a response, RFC 2308 style: `min(SOA TTL, SOA
@@ -214,7 +214,7 @@ impl StubResolverHost {
     /// in-flight queries (filling the cache, timing every waiter) and
     /// fail the ones the pool abandoned.
     fn collect_upstream(&mut self) {
-        for (at, resp) in std::mem::take(&mut self.upstream.responses) {
+        for (at, mut resp) in std::mem::take(&mut self.upstream.responses) {
             let Some(pos) = self.inflight.iter().position(|f| f.id == resp.header.id) else {
                 continue;
             };
@@ -223,8 +223,12 @@ impl StubResolverHost {
             if self.cache_enabled {
                 match (resp.header.rcode, resp.answers.is_empty()) {
                     (Rcode::NoError, false) => {
-                        self.cache
-                            .put_id(at, f.name_id, f.rtype, resp.answers.clone());
+                        self.cache.put_id(
+                            at,
+                            f.name_id,
+                            f.rtype,
+                            std::mem::take(&mut resp.answers),
+                        );
                     }
                     (Rcode::NoError, true) | (Rcode::NxDomain, _) => {
                         self.cache.put_negative_id(

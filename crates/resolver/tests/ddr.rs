@@ -28,7 +28,7 @@ fn ddr_alpns(server: ServerConfig) -> Vec<String> {
         Name::parse("_dns.resolver.arpa").unwrap(),
         RecordType::Svcb,
     );
-    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, &q));
+    sim.with_host::<DnsClientHost, _>(cid, |c, ctx| c.start_with_query(ctx, q.clone()));
     sim.run_until(SimTime::from_secs(5));
     let client = sim.host::<DnsClientHost>(cid);
     let (_, resp) = client.responses.first().expect("DDR answered").clone();

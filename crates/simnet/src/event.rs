@@ -11,11 +11,13 @@
 //!   the cursor at nanosecond resolution; an overflow heap catches
 //!   farther-future timers (idle-eviction deadlines, diurnal arrival
 //!   gaps). Push is O(1); pop is a couple of bitmap scans plus a short
-//!   in-slot scan. Slot assignment follows the XOR trick (level = the
-//!   highest 12-bit digit where the deadline differs from the cursor),
-//!   so a slot never mixes rotations and the earliest pending event is
-//!   always in the lowest-indexed occupied slot of the lowest occupied
-//!   level.
+//!   in-slot scan. Each slot is a singly linked list threaded through
+//!   one node table, so the per-slot header is a 4-byte index and the
+//!   whole slot table is 48 KiB. Slot assignment follows the XOR trick
+//!   (level = the highest 12-bit digit where the deadline differs from
+//!   the cursor), so a slot never mixes rotations and the earliest
+//!   pending event is always in the lowest-indexed occupied slot of the
+//!   lowest occupied level.
 //! * [`HeapEventQueue`] — the original `BinaryHeap` ordered by
 //!   `(time, seq)`. Kept as the executable specification: a property
 //!   test drives both on random schedules and asserts identical pop
@@ -107,10 +109,30 @@ impl Occupancy {
         w * 64 + self.words[w].trailing_zeros() as usize
     }
 
-    fn clear(&mut self) {
-        self.summary = 0;
-        self.words = [0; WORDS];
+    /// Call `f` with every occupied slot, then mark them all empty.
+    /// Visits only the words the summary marks.
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
+        while self.summary != 0 {
+            let w = self.summary.trailing_zeros() as usize;
+            self.summary &= self.summary - 1;
+            while self.words[w] != 0 {
+                f(w * 64 + self.words[w].trailing_zeros() as usize);
+                self.words[w] &= self.words[w] - 1;
+            }
+        }
     }
+}
+
+/// The end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A node of the wheel's node table.
+#[derive(Debug)]
+struct Node<T> {
+    /// `None` while the node is on the free list.
+    entry: Option<Entry<T>>,
+    /// The next node of the same slot list (or free list), or `NIL`.
+    next: u32,
 }
 
 /// A deterministic time-ordered queue of payloads: a hierarchical
@@ -122,17 +144,20 @@ impl Occupancy {
 /// into the cursor's slot and still pops in exact `(time, seq)` order.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// `slots[level * SLOTS + i]` — unsorted; pop min-scans by
-    /// `(time, seq)`.
-    slots: Vec<Vec<Entry<T>>>,
+    /// `heads[level * SLOTS + i]`: the first node of the slot's list,
+    /// or `NIL`. Lists are unsorted; pop min-scans by `(time, seq)`.
+    heads: Vec<u32>,
+    /// Every wheel-resident entry. Popped nodes go on the free list and
+    /// are reused, and a cascade relinks nodes without moving entries,
+    /// so steady state allocates nothing.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list, or `NIL`.
+    free: u32,
     occupied: [Occupancy; LEVELS],
     /// Cursor: the last popped (or cascaded-to) tick in nanoseconds.
     /// Every wheel-resident deadline is within `HORIZON` of it.
     elapsed: u64,
     overflow: BinaryHeap<Reverse<Entry<T>>>,
-    /// Reused cascade buffer, so redistributing a slot allocates
-    /// nothing in steady state.
-    scratch: Vec<Entry<T>>,
     len: usize,
     next_seq: u64,
 }
@@ -140,11 +165,12 @@ pub struct EventQueue<T> {
 impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; LEVELS * SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [Occupancy::new(), Occupancy::new(), Occupancy::new()],
             elapsed: 0,
             overflow: BinaryHeap::new(),
-            scratch: Vec::new(),
             len: 0,
             next_seq: 0,
         }
@@ -155,18 +181,25 @@ impl<T> EventQueue<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        self.place(Entry { time, seq, payload });
+        let e = Entry { time, seq, payload };
+        match self.slot_of(e.time) {
+            Some(slot) => {
+                let node = self.alloc(e);
+                self.link(node, slot);
+            }
+            None => self.overflow.push(Reverse(e)),
+        }
     }
 
-    /// Insert an entry at the level/slot its deadline dictates.
-    fn place(&mut self, e: Entry<T>) {
+    /// The `level * SLOTS + i` index of the slot a deadline belongs in,
+    /// or `None` if it lies past the horizon (the overflow heap).
+    fn slot_of(&self, time: SimTime) -> Option<usize> {
         // Clamp the past into the cursor's own slot: it sorts first in
         // the in-slot scan, so pop order still matches the heap's.
-        let t = e.time.as_nanos().max(self.elapsed);
+        let t = time.as_nanos().max(self.elapsed);
         let diff = t ^ self.elapsed;
         if diff >= HORIZON {
-            self.overflow.push(Reverse(e));
-            return;
+            return None;
         }
         let level = if diff == 0 {
             0
@@ -174,8 +207,42 @@ impl<T> EventQueue<T> {
             (63 - diff.leading_zeros()) / LEVEL_BITS
         } as usize;
         let slot = ((t >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.slots[level * SLOTS + slot].push(e);
-        self.occupied[level].set(slot);
+        Some(level * SLOTS + slot)
+    }
+
+    /// Store `e` in a free node (or a new one) and return its index.
+    fn alloc(&mut self, e: Entry<T>) -> u32 {
+        if self.free == NIL {
+            self.nodes.push(Node {
+                entry: Some(e),
+                next: NIL,
+            });
+            return (self.nodes.len() - 1) as u32;
+        }
+        let node = self.free;
+        let n = &mut self.nodes[node as usize];
+        self.free = n.next;
+        n.entry = Some(e);
+        node
+    }
+
+    /// Take a node's entry and put the node on the free list.
+    fn release(&mut self, node: u32) -> Entry<T> {
+        let n = &mut self.nodes[node as usize];
+        n.next = self.free;
+        self.free = node;
+        n.entry.take().expect("live node")
+    }
+
+    /// Push `node` onto the front of `slot`'s list.
+    fn link(&mut self, node: u32, slot: usize) {
+        self.nodes[node as usize].next = self.heads[slot];
+        self.heads[slot] = node;
+        self.occupied[slot / SLOTS].set(slot % SLOTS);
+    }
+
+    fn entry(&self, node: u32) -> &Entry<T> {
+        self.nodes[node as usize].entry.as_ref().expect("live node")
     }
 
     /// Remove and return the earliest event.
@@ -191,53 +258,72 @@ impl<T> EventQueue<T> {
                 let t0 = self.overflow.peek()?.0.time.as_nanos();
                 self.elapsed = self.elapsed.max(t0);
                 while let Some(Reverse(e)) = self.overflow.peek() {
-                    if e.time.as_nanos() ^ self.elapsed >= HORIZON {
+                    let Some(slot) = self.slot_of(e.time) else {
                         break;
-                    }
+                    };
                     let Reverse(e) = self.overflow.pop().expect("peeked");
-                    self.place(e);
+                    let node = self.alloc(e);
+                    self.link(node, slot);
                 }
                 continue;
             };
             let slot = self.occupied[level].lowest();
+            let idx = level * SLOTS + slot;
+            let head = self.heads[idx];
             if level > 0 {
-                let idx = level * SLOTS + slot;
                 // The slot is the wheel minimum: a lone entry needs no
                 // cascade, it IS the next event (ties always share a
                 // slot, so a singleton has none).
-                if self.slots[idx].len() == 1 {
-                    let e = self.slots[idx].pop().expect("occupied slot");
+                if self.nodes[head as usize].next == NIL {
+                    self.heads[idx] = NIL;
                     self.occupied[level].unset(slot);
+                    let e = self.release(head);
                     self.elapsed = self.elapsed.max(e.time.as_nanos());
                     self.len -= 1;
                     return Some((e.time, e.payload));
                 }
                 // Cascade: advance the cursor to the slot's block and
-                // redistribute its entries into lower levels.
+                // relink its nodes into lower levels.
                 let span = 1u64 << (LEVEL_BITS * (level as u32 + 1));
                 let block =
                     (self.elapsed & !(span - 1)) | ((slot as u64) << (LEVEL_BITS * level as u32));
                 self.elapsed = self.elapsed.max(block);
-                let mut scratch = std::mem::take(&mut self.scratch);
-                std::mem::swap(&mut scratch, &mut self.slots[idx]);
+                self.heads[idx] = NIL;
                 self.occupied[level].unset(slot);
-                for e in scratch.drain(..) {
-                    self.place(e);
+                let mut node = head;
+                while node != NIL {
+                    let next = self.nodes[node as usize].next;
+                    match self.slot_of(self.entry(node).time) {
+                        Some(slot) => self.link(node, slot),
+                        None => {
+                            let e = self.release(node);
+                            self.overflow.push(Reverse(e));
+                        }
+                    }
+                    node = next;
                 }
-                self.scratch = scratch;
                 continue;
             }
-            let bucket = &mut self.slots[slot];
-            let mut min = 0;
-            for i in 1..bucket.len() {
-                if bucket[i] < bucket[min] {
-                    min = i;
+            // Level 0: unlink the list's `(time, seq)` minimum.
+            let (mut min, mut min_prev) = (head, NIL);
+            let (mut prev, mut node) = (head, self.nodes[head as usize].next);
+            while node != NIL {
+                if self.entry(node) < self.entry(min) {
+                    (min, min_prev) = (node, prev);
                 }
+                prev = node;
+                node = self.nodes[node as usize].next;
             }
-            let e = bucket.swap_remove(min);
-            if bucket.is_empty() {
+            let after = self.nodes[min as usize].next;
+            if min_prev == NIL {
+                self.heads[idx] = after;
+            } else {
+                self.nodes[min_prev as usize].next = after;
+            }
+            if self.heads[idx] == NIL {
                 self.occupied[0].unset(slot);
             }
+            let e = self.release(min);
             self.elapsed = self.elapsed.max(e.time.as_nanos());
             self.len -= 1;
             return Some((e.time, e.payload));
@@ -250,12 +336,12 @@ impl<T> EventQueue<T> {
             if self.occupied[level].is_empty() {
                 continue;
             }
-            let slot = self.occupied[level].lowest();
-            let t = self.slots[level * SLOTS + slot]
-                .iter()
-                .map(|e| e.time)
-                .min()
-                .expect("occupied slot");
+            let mut node = self.heads[level * SLOTS + self.occupied[level].lowest()];
+            let mut t = self.entry(node).time;
+            while node != NIL {
+                t = t.min(self.entry(node).time);
+                node = self.nodes[node as usize].next;
+            }
             return Some(t);
         }
         self.overflow.peek().map(|Reverse(e)| e.time)
@@ -269,31 +355,27 @@ impl<T> EventQueue<T> {
         self.len == 0
     }
 
-    /// Reserve room for `cap` entries in every wheel slot, front-loading
-    /// the one-time growth allocation a slot otherwise pays on first
-    /// touch. After warming, pushes and cascades that never exceed `cap`
-    /// entries per slot hit the allocator zero times — what the
-    /// `count-allocs` steady-state test pins.
+    /// Reserve room for `cap` wheel-resident entries, front-loading the
+    /// node table's growth. After warming, a wheel that never holds
+    /// more than `cap` entries at once hits the allocator zero times —
+    /// what the `count-allocs` steady-state test pins.
     pub fn warm(&mut self, cap: usize) {
-        for s in &mut self.slots {
-            s.reserve(cap);
-        }
+        self.nodes.reserve(cap.saturating_sub(self.nodes.len()));
     }
 
     /// Drop all pending events, rewind the cursor and restart the
     /// sequence counter, keeping every allocation. Used by
     /// [`crate::Simulator::reset`] so a simulator arena can be reused
-    /// across runs without reallocating.
+    /// across runs without reallocating. Only the slots the occupancy
+    /// bitmaps mark are touched.
     pub fn clear(&mut self) {
-        if self.len > 0 {
-            for s in &mut self.slots {
-                s.clear();
-            }
-            self.overflow.clear();
+        for (level, occ) in self.occupied.iter_mut().enumerate() {
+            let heads = &mut self.heads[level * SLOTS..(level + 1) * SLOTS];
+            occ.drain(|slot| heads[slot] = NIL);
         }
-        for occ in &mut self.occupied {
-            occ.clear();
-        }
+        self.nodes.clear();
+        self.free = NIL;
+        self.overflow.clear();
         self.elapsed = 0;
         self.len = 0;
         self.next_seq = 0;

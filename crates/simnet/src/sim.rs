@@ -190,9 +190,9 @@ impl Simulator {
         &mut self.rng
     }
 
-    /// Pre-reserve `cap` entries in every event-wheel slot, paying the
-    /// one-time cold-slot growth up front instead of scattering it over
-    /// the first pass through the wheel (see
+    /// Pre-reserve room for `cap` pending wheel events, paying the
+    /// one-time node-table growth up front instead of scattering it
+    /// over the first events (see
     /// [`EventQueue::warm`](crate::event::EventQueue::warm)). Optional;
     /// the allocation-budget tests use it to make steady state start at
     /// event zero.

@@ -47,40 +47,52 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Apply `ops` to both queues, checking every pop and peek agree.
+/// Returns `Err` with the first disagreement.
+fn drive(
+    ops: &[Op],
+    wheel: &mut EventQueue<u32>,
+    heap: &mut HeapEventQueue<u32>,
+) -> Result<(), String> {
+    let mut clock = 0u64;
+    let mut id = 0u32;
+    let mut push = |wheel: &mut EventQueue<u32>, heap: &mut HeapEventQueue<u32>, t: u64| {
+        wheel.push(SimTime::from_nanos(t), id);
+        heap.push(SimTime::from_nanos(t), id);
+        id += 1;
+    };
+    for op in ops {
+        match *op {
+            Op::Push { gap } => push(wheel, heap, clock + gap),
+            Op::Reschedule { gap, burst } => {
+                for _ in 0..burst {
+                    push(wheel, heap, clock + gap);
+                }
+            }
+            Op::PushPast { back } => push(wheel, heap, clock.saturating_sub(back)),
+            Op::Pop => {
+                let a = wheel.pop();
+                if a != heap.pop() || wheel.peek_time() != heap.peek_time() {
+                    return Err(format!("pop diverged at {a:?}"));
+                }
+                if let Some((t, _)) = a {
+                    clock = clock.max(t.as_nanos());
+                }
+            }
+        }
+        if wheel.len() != heap.len() {
+            return Err("length diverged".into());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn wheel_pops_in_exact_heap_order(ops in proptest::collection::vec(op(), 1..400)) {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
-        let mut clock = 0u64;
-        let mut id = 0u32;
-        let mut push = |wheel: &mut EventQueue<u32>,
-                        heap: &mut HeapEventQueue<u32>,
-                        t: u64| {
-            wheel.push(SimTime::from_nanos(t), id);
-            heap.push(SimTime::from_nanos(t), id);
-            id += 1;
-        };
-        for op in &ops {
-            match *op {
-                Op::Push { gap } => push(&mut wheel, &mut heap, clock + gap),
-                Op::Reschedule { gap, burst } => {
-                    for _ in 0..burst {
-                        push(&mut wheel, &mut heap, clock + gap);
-                    }
-                }
-                Op::PushPast { back } => push(&mut wheel, &mut heap, clock.saturating_sub(back)),
-                Op::Pop => {
-                    let a = wheel.pop();
-                    prop_assert_eq!(a, heap.pop());
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                    if let Some((t, _)) = a {
-                        clock = clock.max(t.as_nanos());
-                    }
-                }
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-        }
+        prop_assert_eq!(drive(&ops, &mut wheel, &mut heap), Ok(()));
         // Drain: every remaining event must come out in identical order.
         loop {
             let a = wheel.pop();
@@ -116,6 +128,34 @@ proptest! {
             let a = wheel.pop();
             let b = heap.pop();
             prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn half_drained_wheel_clears_like_a_fresh_one(
+        before in proptest::collection::vec(op(), 1..300),
+        after in proptest::collection::vec(op(), 1..300),
+    ) {
+        // Fill every level and the overflow heap, with the cursor moved
+        // by interleaved pops, then pop half of what is left, so slots
+        // on every level and the overflow are occupied at the clear.
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        prop_assert_eq!(drive(&before, &mut wheel, &mut heap), Ok(()));
+        for _ in 0..wheel.len() / 2 {
+            prop_assert_eq!(wheel.pop(), heap.pop());
+        }
+        wheel.clear();
+        prop_assert!(wheel.is_empty());
+        prop_assert_eq!(wheel.peek_time(), None);
+        let mut fresh = HeapEventQueue::new();
+        prop_assert_eq!(drive(&after, &mut wheel, &mut fresh), Ok(()));
+        loop {
+            let a = wheel.pop();
+            prop_assert_eq!(a, fresh.pop());
             if a.is_none() {
                 break;
             }

@@ -47,8 +47,7 @@ fn steady_state_routing_allocates_nothing() {
     let b = SocketAddr::new(Ipv4Addr::new(10, 0, 0, 2), 7);
     let ha = sim.add_host(Box::new(Bouncer), &[a.ip]);
     sim.add_host(Box::new(Bouncer), &[b.ip]);
-    // Front-load the wheel's one-time cold-slot growth: without this,
-    // the first pass over each slot index allocates that slot's Vec.
+    // Front-load the wheel's node-table growth.
     sim.warm_queue(8);
     sim.with_host::<Bouncer, _>(ha, |_, ctx| {
         for i in 0..8u8 {

@@ -59,7 +59,9 @@ pub struct BrowserHost {
     states: Vec<ResourceState>,
     dns_cache: HashMap<String, Option<Ipv4Addr>>,
     dns_inflight: HashMap<String, ()>,
-    origins: HashMap<String, OriginConn>,
+    /// Origin connections in the order they were opened: polling and
+    /// completion collection follow it, so reruns are identical.
+    origins: Vec<(String, OriginConn)>,
     next_port: u16,
     nav_start: Option<SimTime>,
     fcp: Option<SimTime>,
@@ -77,7 +79,7 @@ impl BrowserHost {
             states: vec![ResourceState::Undiscovered; n],
             dns_cache: HashMap::new(),
             dns_inflight: HashMap::new(),
-            origins: HashMap::new(),
+            origins: Vec::new(),
             next_port: 50_000,
             nav_start: None,
             fcp: None,
@@ -140,19 +142,22 @@ impl BrowserHost {
             let r = &self.page.resources[id];
             (r.domain.clone(), r.path.clone())
         };
-        if !self.origins.contains_key(&domain) {
-            let port = self.next_port;
-            self.next_port += 1;
-            let mut conn = HttpsClientConn::new(
-                SocketAddr::new(self.ip, port),
-                SocketAddr::new(ip, 443),
-                &domain,
-            );
-            conn.start(now, out);
-            self.origins
-                .insert(domain.clone(), OriginConn { conn, port });
-        }
-        let origin = self.origins.get_mut(&domain).expect("just ensured");
+        let at = match self.origins.iter().position(|(d, _)| *d == domain) {
+            Some(at) => at,
+            None => {
+                let port = self.next_port;
+                self.next_port += 1;
+                let mut conn = HttpsClientConn::new(
+                    SocketAddr::new(self.ip, port),
+                    SocketAddr::new(ip, 443),
+                    &domain,
+                );
+                conn.start(now, out);
+                self.origins.push((domain, OriginConn { conn, port }));
+                self.origins.len() - 1
+            }
+        };
+        let origin = &mut self.origins[at].1;
         origin.conn.request(id, &path);
         self.states[id] = ResourceState::Requested;
         let mut extra = Vec::new();
@@ -187,7 +192,7 @@ impl BrowserHost {
         }
         // Fetch completions.
         let mut completed = Vec::new();
-        for origin in self.origins.values_mut() {
+        for (_, origin) in &mut self.origins {
             completed.extend(origin.conn.take_completed());
             if origin.conn.failed() {
                 self.failed = true;
@@ -285,7 +290,11 @@ impl Host for BrowserHost {
         let mut out = Vec::new();
         if self.proxy.owns_port(pkt.dst.port) {
             self.proxy.on_packet(ctx.now, &pkt, &mut out);
-        } else if let Some(origin) = self.origins.values_mut().find(|o| o.port == pkt.dst.port) {
+        } else if let Some((_, origin)) = self
+            .origins
+            .iter_mut()
+            .find(|(_, o)| o.port == pkt.dst.port)
+        {
             origin.conn.on_packet(ctx.now, &pkt, &mut out);
         }
         self.progress(ctx.now, ctx.rng, &mut out);
@@ -297,7 +306,7 @@ impl Host for BrowserHost {
     fn on_wakeup(&mut self, ctx: &mut Ctx<'_>) {
         let mut out = Vec::new();
         self.proxy.poll(ctx.now, &mut out);
-        for origin in self.origins.values_mut() {
+        for (_, origin) in &mut self.origins {
             origin.conn.poll(ctx.now, &mut out);
         }
         self.progress(ctx.now, ctx.rng, &mut out);
@@ -308,7 +317,7 @@ impl Host for BrowserHost {
 
     fn next_wakeup(&self) -> Option<SimTime> {
         let mut t = self.proxy.next_timeout();
-        for origin in self.origins.values() {
+        for (_, origin) in &self.origins {
             t = match (t, origin.conn.next_timeout()) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),

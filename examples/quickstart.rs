@@ -46,7 +46,7 @@ fn main() {
             &ClientConfig::default(),
         );
         let wid = sim.add_host(Box::new(warm), &[warm_ip]);
-        sim.with_host::<DnsClientHost, _>(wid, |c, ctx| c.start_with_query(ctx, &query));
+        sim.with_host::<DnsClientHost, _>(wid, |c, ctx| c.start_with_query(ctx, query.clone()));
         sim.run_until(SimTime::from_secs(10));
 
         let client_ip = Ipv4Addr::new(10, 0, 0, 1);
@@ -58,7 +58,7 @@ fn main() {
         );
         let id = sim.add_host(Box::new(client), &[client_ip]);
         let measured_start = sim.now();
-        sim.with_host::<DnsClientHost, _>(id, |c, ctx| c.start_with_query(ctx, &query));
+        sim.with_host::<DnsClientHost, _>(id, |c, ctx| c.start_with_query(ctx, query.clone()));
         sim.run_until(measured_start + Duration::from_secs(10));
 
         let client = sim.host_mut::<DnsClientHost>(id);
