@@ -28,11 +28,18 @@ impl DoqAlpn {
         v
     }
 
-    /// The wire bytes of the identifier.
-    pub fn wire(&self) -> Vec<u8> {
+    /// The wire bytes of the identifier. Drafts run from `doq-i00` to
+    /// `doq-i11`, the range the tooling supports.
+    pub fn wire(&self) -> &'static [u8] {
+        const DRAFTS: [&[u8]; 12] = [
+            b"doq-i00", b"doq-i01", b"doq-i02", b"doq-i03", b"doq-i04", b"doq-i05", b"doq-i06",
+            b"doq-i07", b"doq-i08", b"doq-i09", b"doq-i10", b"doq-i11",
+        ];
         match self {
-            DoqAlpn::Rfc9250 => b"doq".to_vec(),
-            DoqAlpn::Draft(n) => format!("doq-i{n:02}").into_bytes(),
+            DoqAlpn::Rfc9250 => b"doq",
+            DoqAlpn::Draft(n) => DRAFTS
+                .get(*n as usize)
+                .expect("DoQ drafts run from doq-i00 to doq-i11"),
         }
     }
 
@@ -71,7 +78,7 @@ mod tests {
     #[test]
     fn wire_roundtrip() {
         for alpn in DoqAlpn::all_supported() {
-            assert_eq!(DoqAlpn::from_wire(&alpn.wire()), Some(alpn));
+            assert_eq!(DoqAlpn::from_wire(alpn.wire()), Some(alpn));
         }
         assert_eq!(DoqAlpn::from_wire(b"doq-i02"), Some(DoqAlpn::Draft(2)));
         assert_eq!(DoqAlpn::from_wire(b"doq"), Some(DoqAlpn::Rfc9250));

@@ -10,6 +10,19 @@ use doqlab_netstack::tls::{TlsClient, TlsConfig};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
+use std::sync::Arc;
+
+thread_local! {
+    /// The DoH client TLS configuration (ALPN `h2`), without and with
+    /// 0-RTT; every client on the thread shares it.
+    static CLIENT_CONFIGS: [Arc<TlsConfig>; 2] = [false, true].map(|enable_0rtt| {
+        Arc::new(TlsConfig {
+            alpn: vec![b"h2".to_vec()],
+            enable_0rtt,
+            ..TlsConfig::default()
+        })
+    });
+}
 
 /// A DoH client connection.
 #[derive(Debug)]
@@ -32,11 +45,7 @@ pub struct DoHClient {
 
 impl DoHClient {
     pub fn new(local: SocketAddr, remote: SocketAddr, cfg: &ClientConfig) -> Self {
-        let tls_cfg = TlsConfig {
-            alpn: vec![b"h2".to_vec()],
-            enable_0rtt: cfg.enable_0rtt,
-            ..TlsConfig::default()
-        };
+        let tls_cfg = CLIENT_CONFIGS.with(|c| Arc::clone(&c[cfg.enable_0rtt as usize]));
         let early_permitted = cfg.enable_0rtt
             && cfg
                 .session

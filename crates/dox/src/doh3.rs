@@ -15,11 +15,27 @@ use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+thread_local! {
+    /// The DoH3 client configuration (ALPN `h3`), without and with
+    /// 0-RTT; every client on the thread shares it.
+    static CLIENT_CONFIGS: [Arc<QuicConfig>; 2] = [false, true].map(|enable_0rtt| {
+        Arc::new(QuicConfig {
+            tls: TlsConfig {
+                alpn: vec![b"h3".to_vec()],
+                enable_0rtt,
+                ..TlsConfig::default()
+            },
+            ..QuicConfig::default()
+        })
+    });
+}
 
 /// A DoH3 client connection.
 #[derive(Debug)]
 pub struct DoH3Client {
-    quic_cfg: QuicConfig,
+    quic_cfg: Arc<QuicConfig>,
     local: SocketAddr,
     remote: SocketAddr,
     initial_version: u32,
@@ -38,11 +54,6 @@ pub struct DoH3Client {
 
 impl DoH3Client {
     pub fn new(local: SocketAddr, remote: SocketAddr, cfg: &ClientConfig) -> Self {
-        let tls = TlsConfig {
-            alpn: vec![b"h3".to_vec()],
-            enable_0rtt: cfg.enable_0rtt,
-            ..TlsConfig::default()
-        };
         let early_permitted = cfg.enable_0rtt
             && cfg
                 .session
@@ -50,10 +61,7 @@ impl DoH3Client {
                 .as_ref()
                 .is_some_and(|t| t.allows_early_data);
         DoH3Client {
-            quic_cfg: QuicConfig {
-                tls,
-                ..QuicConfig::default()
-            },
+            quic_cfg: CLIENT_CONFIGS.with(|c| Arc::clone(&c[cfg.enable_0rtt as usize])),
             local,
             remote,
             initial_version: cfg.session.quic_version.unwrap_or(QUIC_V1),
@@ -97,8 +105,7 @@ impl DoH3Client {
         let Some(conn) = &mut self.conn else { return };
         let mut done = Vec::new();
         for (&stream, (orig_id, buf)) in self.inflight.iter_mut() {
-            let (data, fin) = conn.stream_recv(stream);
-            buf.extend_from_slice(&data);
+            let fin = conn.stream_recv_into(stream, buf);
             if fin {
                 if let Some(h3) = H3Message::decode(buf) {
                     let status = h3
@@ -133,9 +140,8 @@ impl DoH3Client {
             }
             self.session_out.quic_version = Some(conn.version());
         }
-        for dgram in conn.poll_transmit(now) {
-            out.push(Packet::udp(self.local, self.remote, dgram));
-        }
+        let (local, remote) = (self.local, self.remote);
+        conn.poll_transmit_with(now, |dgram| out.push(Packet::udp(local, remote, dgram)));
     }
 }
 
@@ -148,7 +154,7 @@ impl DnsClientConn for DoH3Client {
             None
         };
         self.conn = Some(QuicConnection::client(
-            self.quic_cfg.clone(),
+            Arc::clone(&self.quic_cfg),
             self.local,
             self.remote,
             self.initial_version,

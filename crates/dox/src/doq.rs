@@ -11,11 +11,12 @@
 
 use crate::alpn::DoqAlpn;
 use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
-use doqlab_dnswire::{framing, LengthPrefixedReader, Message};
+use doqlab_dnswire::Message;
 use doqlab_netstack::quic::{QuicConfig, QuicConnection, QuicError, QUIC_V1};
-use doqlab_netstack::tls::TlsConfig;
+use doqlab_netstack::tls::{SessionTicket, TlsConfig};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Classify a dead QUIC connection for the failure taxonomy. `None`
 /// while the connection is healthy or the error struck after the
@@ -35,21 +36,61 @@ pub(crate) fn classify_quic_failure(conn: &QuicConnection) -> Option<FailureKind
     }
 }
 
+/// The first complete 2-byte-length-prefixed message in `buf`.
+pub(crate) fn first_framed(buf: &[u8]) -> Option<&[u8]> {
+    let (len, rest) = buf.split_first_chunk::<2>()?;
+    rest.get(..u16::from_be_bytes(*len) as usize)
+}
+
+/// Queue `wire` on a DoQ stream and finish it, with the 2-byte length
+/// prefix when the ALPN calls for one.
+pub(crate) fn send_doq_message(conn: &mut QuicConnection, stream: u64, alpn: DoqAlpn, wire: &[u8]) {
+    if alpn.uses_length_prefix() {
+        assert!(
+            wire.len() <= u16::MAX as usize,
+            "DNS message too large to frame"
+        );
+        conn.stream_send(stream, &(wire.len() as u16).to_be_bytes(), false);
+    }
+    conn.stream_send(stream, wire, true);
+}
+
+thread_local! {
+    /// The DoQ client configuration (every supported ALPN), without and
+    /// with 0-RTT; every client on the thread shares it.
+    static CLIENT_CONFIGS: [Arc<QuicConfig>; 2] = [false, true].map(|enable_0rtt| {
+        Arc::new(QuicConfig {
+            tls: TlsConfig {
+                alpn: DoqAlpn::all_supported().iter().map(|a| a.wire().to_vec()).collect(),
+                enable_0rtt,
+                ..TlsConfig::default()
+            },
+            ..QuicConfig::default()
+        })
+    });
+}
+
 /// A DoQ client connection.
 #[derive(Debug)]
 pub struct DoQClient {
-    quic_cfg: QuicConfig,
+    quic_cfg: Arc<QuicConfig>,
     local: SocketAddr,
     remote: SocketAddr,
     initial_version: u32,
-    session_in: SessionState,
+    /// Resumption material from a previous connection; RFC 9250: the
+    /// token is only used together with Session Resumption (the paper
+    /// follows this recommendation).
+    ticket: Option<SessionTicket>,
+    token: Option<Vec<u8>>,
     conn: Option<QuicConnection>,
     /// Queries waiting for the stream mapping to be known: the original
     /// id and the encoding with id 0 (RFC 9250 §4.2.1).
     queued: Vec<(u16, Vec<u8>)>,
-    /// stream id -> (original query id, response reassembly).
-    inflight: BTreeMap<u64, (u16, LengthPrefixedReader, Vec<u8>)>,
+    /// stream id -> (original query id, response bytes so far).
+    inflight: BTreeMap<u64, (u16, Vec<u8>)>,
     alpn: Option<DoqAlpn>,
+    /// Stream mapping implied by a 0-RTT ticket, before the handshake.
+    ticket_alpn: Option<DoqAlpn>,
     responses: Vec<(SimTime, Message)>,
     session_out: SessionState,
     early_permitted: bool,
@@ -57,30 +98,37 @@ pub struct DoQClient {
 
 impl DoQClient {
     pub fn new(local: SocketAddr, remote: SocketAddr, cfg: &ClientConfig) -> Self {
-        let tls = TlsConfig {
-            alpn: DoqAlpn::all_supported().iter().map(|a| a.wire()).collect(),
-            enable_0rtt: cfg.enable_0rtt,
-            ..TlsConfig::default()
-        };
         let early_permitted = cfg.enable_0rtt
             && cfg
                 .session
                 .tls_ticket
                 .as_ref()
                 .is_some_and(|t| t.allows_early_data);
+        let ticket_alpn = if early_permitted {
+            // Resuming with 0-RTT: the mapping is the ticket's ALPN.
+            cfg.session
+                .tls_ticket
+                .as_ref()
+                .and_then(|t| DoqAlpn::from_wire(&t.alpn))
+        } else {
+            None
+        };
         DoQClient {
-            quic_cfg: QuicConfig {
-                tls,
-                ..QuicConfig::default()
-            },
+            quic_cfg: CLIENT_CONFIGS.with(|c| Arc::clone(&c[cfg.enable_0rtt as usize])),
             local,
             remote,
             initial_version: cfg.session.quic_version.unwrap_or(QUIC_V1),
-            session_in: cfg.session.clone(),
+            ticket: cfg.session.tls_ticket.clone(),
+            token: cfg
+                .session
+                .tls_ticket
+                .as_ref()
+                .and(cfg.session.quic_token.clone()),
             conn: None,
             queued: Vec::new(),
             inflight: BTreeMap::new(),
             alpn: None,
+            ticket_alpn,
             responses: Vec::new(),
             session_out: SessionState::default(),
             early_permitted,
@@ -102,27 +150,16 @@ impl DoQClient {
                 return;
             }
         }
-        if self.early_permitted {
-            // Resuming with 0-RTT: the mapping is the ticket's ALPN.
-            if let Some(t) = &self.session_in.tls_ticket {
-                self.alpn = DoqAlpn::from_wire(&t.alpn);
-            }
-        }
+        self.alpn = self.ticket_alpn;
     }
 
     fn flush_queries(&mut self) {
         let Some(alpn) = self.alpn else { return };
         let Some(conn) = &mut self.conn else { return };
-        for (orig_id, wire) in std::mem::take(&mut self.queued) {
-            let payload = if alpn.uses_length_prefix() {
-                framing::frame(&wire)
-            } else {
-                wire
-            };
+        for (orig_id, wire) in self.queued.drain(..) {
             let stream = conn.open_bi();
-            conn.stream_send(stream, &payload, true);
-            self.inflight
-                .insert(stream, (orig_id, LengthPrefixedReader::new(), Vec::new()));
+            send_doq_message(conn, stream, alpn, &wire);
+            self.inflight.insert(stream, (orig_id, Vec::new()));
         }
     }
 
@@ -133,33 +170,33 @@ impl DoQClient {
         }
         let Some(conn) = &mut self.conn else { return };
         // Read responses.
-        let mut done = Vec::new();
-        for (&stream, (orig_id, reader, raw)) in self.inflight.iter_mut() {
-            let (data, fin) = conn.stream_recv(stream);
-            let use_prefix = self.alpn.is_some_and(|a| a.uses_length_prefix());
+        let use_prefix = self.alpn.is_some_and(|a| a.uses_length_prefix());
+        let responses = &mut self.responses;
+        self.inflight.retain(|&stream, (orig_id, raw)| {
+            let fin = conn.stream_recv_into(stream, raw);
             if use_prefix {
-                reader.push(&data);
-                if let Some(wire) = reader.next_message() {
-                    if let Ok(mut msg) = Message::decode(&wire) {
-                        msg.header.id = *orig_id;
-                        self.responses.push((now, msg));
-                        done.push(stream);
-                    }
+                let Some(wire) = first_framed(raw) else {
+                    return true;
+                };
+                let used = 2 + wire.len();
+                if let Ok(mut msg) = Message::decode(wire) {
+                    msg.header.id = *orig_id;
+                    responses.push((now, msg));
+                    return false;
                 }
+                // Skip the undecodable message; a later one may answer.
+                raw.drain(..used);
+                true
             } else {
-                raw.extend_from_slice(&data);
                 if fin {
                     if let Ok(mut msg) = Message::decode(raw) {
                         msg.header.id = *orig_id;
-                        self.responses.push((now, msg));
+                        responses.push((now, msg));
                     }
-                    done.push(stream);
                 }
+                !fin
             }
-        }
-        for s in done {
-            self.inflight.remove(&s);
-        }
+        });
         // Capture resumption material.
         if conn.is_established() {
             for ticket in conn.take_tickets() {
@@ -170,29 +207,21 @@ impl DoQClient {
             }
             self.session_out.quic_version = Some(conn.version());
         }
-        for dgram in conn.poll_transmit(now) {
-            out.push(Packet::udp(self.local, self.remote, dgram));
-        }
+        let (local, remote) = (self.local, self.remote);
+        conn.poll_transmit_with(now, |dgram| out.push(Packet::udp(local, remote, dgram)));
     }
 }
 
 impl DnsClientConn for DoQClient {
     fn start(&mut self, now: SimTime, rng: &mut SimRng, out: &mut Vec<Packet>) {
         assert!(self.conn.is_none(), "start twice");
-        // RFC 9250: tokens should only be used together with Session
-        // Resumption (the paper follows this recommendation).
-        let token = if self.session_in.tls_ticket.is_some() {
-            self.session_in.quic_token.clone()
-        } else {
-            None
-        };
         self.conn = Some(QuicConnection::client(
-            self.quic_cfg.clone(),
+            Arc::clone(&self.quic_cfg),
             self.local,
             self.remote,
             self.initial_version,
-            self.session_in.tls_ticket.clone(),
-            token,
+            self.ticket.take(),
+            self.token.take(),
             rng,
             now,
         ));

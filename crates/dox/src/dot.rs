@@ -8,6 +8,19 @@ use doqlab_netstack::tcp::{TcpConfig, TcpSegment, TcpSocket};
 use doqlab_netstack::tls::{TlsClient, TlsConfig};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use std::collections::HashSet;
+use std::sync::Arc;
+
+thread_local! {
+    /// The DoT client TLS configuration (ALPN `dot`), without and with
+    /// 0-RTT; every client on the thread shares it.
+    static CLIENT_CONFIGS: [Arc<TlsConfig>; 2] = [false, true].map(|enable_0rtt| {
+        Arc::new(TlsConfig {
+            alpn: vec![b"dot".to_vec()],
+            enable_0rtt,
+            ..TlsConfig::default()
+        })
+    });
+}
 
 /// A DoT client connection.
 #[derive(Debug)]
@@ -23,11 +36,7 @@ pub struct DoTClient {
 
 impl DoTClient {
     pub fn new(local: SocketAddr, remote: SocketAddr, cfg: &ClientConfig) -> Self {
-        let tls_cfg = TlsConfig {
-            alpn: vec![b"dot".to_vec()],
-            enable_0rtt: cfg.enable_0rtt,
-            ..TlsConfig::default()
-        };
+        let tls_cfg = CLIENT_CONFIGS.with(|c| Arc::clone(&c[cfg.enable_0rtt as usize]));
         DoTClient {
             tcp: TcpSocket::client(local, remote, 0, TcpConfig::default()),
             tls: TlsClient::new(tls_cfg, cfg.session.tls_ticket.clone()),

@@ -11,6 +11,7 @@
 use crate::alpn::DoqAlpn;
 use crate::client::DnsTransport;
 use crate::doh::doh_response_parts;
+use crate::doq::{first_framed, send_doq_message};
 use crate::ports;
 use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message};
 use doqlab_netstack::http2::H2Connection;
@@ -19,6 +20,7 @@ use doqlab_netstack::tcp::{TcpConfig, TcpListener, TcpSegment};
 use doqlab_netstack::tls::{TlsConfig, TlsServer, TlsVersion};
 use doqlab_simnet::{Duration, Ipv4Addr, Packet, SimTime, SocketAddr, Transport};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Per-resolver feature configuration.
 #[derive(Debug, Clone)]
@@ -96,6 +98,15 @@ impl ServerConfig {
             extra_client_hello_pad: 0,
         }
     }
+
+    fn quic(&self, alpn: Vec<Vec<u8>>) -> QuicConfig {
+        QuicConfig {
+            versions: self.quic_versions.clone(),
+            tls: self.tls(alpn),
+            retry_required: self.retry_required,
+            ..QuicConfig::default()
+        }
+    }
 }
 
 /// Identifies where a query came from, for routing the response back.
@@ -147,7 +158,14 @@ pub struct DnsServerSet {
     dot_conns: HashMap<SocketAddr, DotConn>,
     doh: TcpListener,
     doh_conns: HashMap<SocketAddr, DohConn>,
-    doq: Vec<(u16, QuicServer)>,
+    /// TLS configurations shared by every DoT / DoH connection, built
+    /// on first use.
+    dot_tls: Option<Arc<TlsConfig>>,
+    doh_tls: Option<Arc<TlsConfig>>,
+    /// One QUIC server per DoQ port, in port order, created when the
+    /// port sees its first datagram; all share one configuration.
+    doq: Vec<(u16, Option<QuicServer>)>,
+    doq_cfg: Option<Arc<QuicConfig>>,
     doh3: Option<QuicServer>,
     /// Partially received DoH3 request streams.
     doh3_buf: HashMap<(SocketAddr, u64), Vec<u8>>,
@@ -156,6 +174,8 @@ pub struct DnsServerSet {
     udp_out: Vec<Packet>,
     /// DoTCP peers to close after their response drains.
     tcp_closing: Vec<SocketAddr>,
+    /// Reused buffer for reading DoQ query streams.
+    stream_scratch: Vec<u8>,
 }
 
 impl DnsServerSet {
@@ -164,30 +184,12 @@ impl DnsServerSet {
             enable_tfo: cfg.enable_tfo,
             ..TcpConfig::default()
         };
-        let doq = cfg
-            .doq_ports
-            .iter()
-            .map(|&port| {
-                let quic_cfg = QuicConfig {
-                    versions: cfg.quic_versions.clone(),
-                    tls: cfg.tls(cfg.doq_alpns.iter().map(|a| a.wire()).collect()),
-                    retry_required: cfg.retry_required,
-                    ..QuicConfig::default()
-                };
-                (
-                    port,
-                    QuicServer::new(SocketAddr::new(cfg.ip, port), quic_cfg),
-                )
-            })
-            .collect();
+        let doq = cfg.doq_ports.iter().map(|&port| (port, None)).collect();
         let doh3 = cfg.supports_doh3.then(|| {
-            let quic_cfg = QuicConfig {
-                versions: cfg.quic_versions.clone(),
-                tls: cfg.tls(vec![b"h3".to_vec()]),
-                retry_required: cfg.retry_required,
-                ..QuicConfig::default()
-            };
-            QuicServer::new(SocketAddr::new(cfg.ip, ports::HTTPS), quic_cfg)
+            QuicServer::new(
+                SocketAddr::new(cfg.ip, ports::HTTPS),
+                cfg.quic(vec![b"h3".to_vec()]),
+            )
         });
         DnsServerSet {
             tcp: TcpListener::new(SocketAddr::new(cfg.ip, ports::DNS), tcp_cfg.clone()),
@@ -196,13 +198,17 @@ impl DnsServerSet {
             dot_conns: HashMap::new(),
             doh: TcpListener::new(SocketAddr::new(cfg.ip, ports::HTTPS), TcpConfig::default()),
             doh_conns: HashMap::new(),
+            dot_tls: None,
+            doh_tls: None,
             doq,
+            doq_cfg: None,
             doh3,
             doh3_buf: HashMap::new(),
             cfg,
             events: Vec::new(),
             udp_out: Vec::new(),
             tcp_closing: Vec::new(),
+            stream_scratch: Vec::new(),
         }
     }
 
@@ -243,9 +249,17 @@ impl DnsServerSet {
                 if !self.cfg.supports_doq {
                     return;
                 }
+                let cfg = &self.cfg;
                 if let Some((_, server)) = self.doq.iter_mut().find(|(p, _)| *p == port) {
+                    let server = server.get_or_insert_with(|| {
+                        let quic = self.doq_cfg.get_or_insert_with(|| {
+                            let alpns = cfg.doq_alpns.iter().map(|a| a.wire().to_vec());
+                            Arc::new(cfg.quic(alpns.collect()))
+                        });
+                        QuicServer::new(SocketAddr::new(cfg.ip, port), Arc::clone(quic))
+                    });
                     for (peer, dgram) in server.handle_datagram(now, pkt.src, &pkt.payload) {
-                        out.push(Packet::udp(SocketAddr::new(self.cfg.ip, port), peer, dgram));
+                        out.push(Packet::udp(SocketAddr::new(cfg.ip, port), peer, dgram));
                     }
                 }
             }
@@ -329,9 +343,14 @@ impl DnsServerSet {
         // --- DoT ---
         let mut dot_events = Vec::new();
         for (&peer, sock) in self.dot.connections() {
-            let conn = self.dot_conns.entry(peer).or_insert_with(|| DotConn {
-                tls: TlsServer::new(self.cfg.tls(vec![b"dot".to_vec()])),
-                reader: LengthPrefixedReader::new(),
+            let conn = self.dot_conns.entry(peer).or_insert_with(|| {
+                let tls = self
+                    .dot_tls
+                    .get_or_insert_with(|| Arc::new(self.cfg.tls(vec![b"dot".to_vec()])));
+                DotConn {
+                    tls: TlsServer::new(Arc::clone(tls)),
+                    reader: LengthPrefixedReader::new(),
+                }
             });
             let data = sock.recv();
             if !data.is_empty() {
@@ -376,9 +395,14 @@ impl DnsServerSet {
         // --- DoH ---
         let mut doh_events = Vec::new();
         for (&peer, sock) in self.doh.connections() {
-            let conn = self.doh_conns.entry(peer).or_insert_with(|| DohConn {
-                tls: TlsServer::new(self.cfg.tls(vec![b"h2".to_vec()])),
-                h2: H2Connection::server(),
+            let conn = self.doh_conns.entry(peer).or_insert_with(|| {
+                let tls = self
+                    .doh_tls
+                    .get_or_insert_with(|| Arc::new(self.cfg.tls(vec![b"h2".to_vec()])));
+                DohConn {
+                    tls: TlsServer::new(Arc::clone(tls)),
+                    h2: H2Connection::server(),
+                }
             });
             let data = sock.recv();
             if !data.is_empty() {
@@ -426,27 +450,26 @@ impl DnsServerSet {
 
         // --- DoQ ---
         let mut doq_events = Vec::new();
+        let ip = self.cfg.ip;
         for (port, server) in &mut self.doq {
+            let Some(server) = server else { continue };
             for (&peer, conn) in server.connections() {
                 let alpn = conn
                     .negotiated_alpn()
                     .and_then(DoqAlpn::from_wire)
                     .unwrap_or(DoqAlpn::Rfc9250);
-                for stream in conn.take_new_peer_streams() {
-                    let (data, fin) = conn.stream_recv(stream);
+                while let Some(stream) = conn.next_new_peer_stream() {
+                    let fin = conn.stream_recv_into(stream, &mut self.stream_scratch);
                     // Queries are small: they arrive in one frame in this
                     // simulation (one datagram covers any DNS query).
+                    let data = &self.stream_scratch[..];
                     let wire = if alpn.uses_length_prefix() {
-                        let mut r = LengthPrefixedReader::new();
-                        r.push(&data);
-                        r.next_message()
-                    } else if fin {
-                        Some(data)
+                        first_framed(data)
                     } else {
-                        None
+                        fin.then_some(data)
                     };
                     if let Some(wire) = wire {
-                        if let Ok(query) = Message::decode(&wire) {
+                        if let Ok(query) = Message::decode(wire) {
                             if !query.header.response {
                                 doq_events.push(ServerEvent {
                                     key: ConnKey::Doq {
@@ -461,15 +484,13 @@ impl DnsServerSet {
                             }
                         }
                     }
+                    self.stream_scratch.clear();
                 }
             }
-            for (peer, dgram) in server.poll_transmit(now) {
-                out.push(Packet::udp(
-                    SocketAddr::new(self.cfg.ip, *port),
-                    peer,
-                    dgram,
-                ));
-            }
+            let local = SocketAddr::new(ip, *port);
+            server.poll_transmit_with(now, |peer, dgram| {
+                out.push(Packet::udp(local, peer, dgram));
+            });
             // Long-lived hosts see many connections per peer (pooled
             // clients redial after evictions); drained ones must not
             // accumulate.
@@ -514,13 +535,10 @@ impl DnsServerSet {
                     }
                 }
             }
-            for (peer, dgram) in server.poll_transmit(now) {
-                out.push(Packet::udp(
-                    SocketAddr::new(self.cfg.ip, ports::HTTPS),
-                    peer,
-                    dgram,
-                ));
-            }
+            let local = SocketAddr::new(self.cfg.ip, ports::HTTPS);
+            server.poll_transmit_with(now, |peer, dgram| {
+                out.push(Packet::udp(local, peer, dgram));
+            });
             self.events.append(&mut doh3_events);
         }
 
@@ -608,19 +626,15 @@ impl DnsServerSet {
                 }
             }
             ConnKey::Doq { peer, port, stream } => {
-                if let Some((_, server)) = self.doq.iter_mut().find(|(p, _)| *p == port) {
+                let server = self.doq.iter_mut().find(|(p, _)| *p == port);
+                if let Some((_, Some(server))) = server {
                     if let Some(conn) = server.connection(peer) {
                         let alpn = conn
                             .negotiated_alpn()
                             .and_then(DoqAlpn::from_wire)
                             .unwrap_or(DoqAlpn::Rfc9250);
                         let wire = msg.encode_with_id(0); // RFC 9250
-                        let payload = if alpn.uses_length_prefix() {
-                            framing::frame(&wire)
-                        } else {
-                            wire
-                        };
-                        conn.stream_send(stream, &payload, true);
+                        send_doq_message(conn, stream, alpn, &wire);
                     }
                 }
             }
@@ -636,7 +650,7 @@ impl DnsServerSet {
                 (a, b) => a.or(b),
             };
         }
-        for (_, s) in &self.doq {
+        for s in self.doq.iter().filter_map(|(_, s)| s.as_ref()) {
             t = match (t, s.next_timeout()) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),

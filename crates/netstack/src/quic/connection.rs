@@ -6,15 +6,34 @@
 //! number spaces, exactly like RFC 9001. Loss recovery is PTO-based
 //! with a packet-reordering threshold, per RFC 9002, with the 1 s
 //! initial timeout the paper cites.
+//!
+//! The wire path works in place. A datagram is planned as frame
+//! metadata ([`SentFrame`]), sized exactly, then encoded header first
+//! straight into one [`PayloadBuf`] of that size; CRYPTO and STREAM bytes are
+//! copied once, from the send buffers. Received datagrams are decoded
+//! by borrowing ([`PacketRef`], [`FrameRef`]), and a packet's frames
+//! are all checked before any of them is applied. Sent packets keep
+//! only frame metadata: lost data is re-read from the send buffers,
+//! which retain every byte.
 
-use super::frame::Frame;
-use super::packet::{Packet, PacketType, VersionNegotiation, CID_LEN};
+use super::frame::{
+    self, write_ack, write_connection_close, write_crypto_header, write_handshake_done,
+    write_new_token, write_path_challenge, write_path_response, write_ping, write_stream_header,
+    AckRef, FrameIter, FrameRef, FrameSink, WireLen,
+};
+use super::packet::{
+    packet_len, write_header, write_tag, Packet, PacketRef, PacketType, VersionNegotiation, CID_LEN,
+};
+use super::range_set::RangeSet;
 use super::{draft_version, AMPLIFICATION_FACTOR, MIN_INITIAL_SIZE, PACKET_TAG_LEN, QUIC_V1};
-use crate::tls::{HandshakeMessage, HandshakePayload, SessionTicket, TlsConfig, TlsVersion};
-use doqlab_simnet::{Duration, SimRng, SimTime, SocketAddr};
+use crate::tls::messages::{Alpns, HandshakeRef, Versions};
+use crate::tls::session::SessionTicketRef;
+use crate::tls::{SessionTicket, TlsConfig, TlsVersion};
+use doqlab_simnet::{Duration, PayloadBuf, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// qlog packet-type label.
 fn ptype_str(ptype: PacketType) -> &'static str {
@@ -36,7 +55,8 @@ fn epoch_str(epoch: usize) -> &'static str {
     }
 }
 
-/// Connection parameters.
+/// Connection parameters. Endpoints hold them behind an `Arc`: a
+/// server shares one configuration with every connection it accepts.
 #[derive(Debug, Clone)]
 pub struct QuicConfig {
     /// Supported versions, preference order. Servers negotiate; clients
@@ -97,32 +117,29 @@ const EPOCH_APP: usize = 2;
 /// Probe retransmissions before a path validation attempt is abandoned.
 const PATH_PROBE_MAX_RETRIES: u32 = 5;
 
-/// Offset-indexed send buffer with loss retransmission.
+/// Offset-indexed send buffer with loss retransmission. `data` keeps
+/// every byte ever queued, so a lost range is re-sent from it.
 #[derive(Debug, Default)]
 struct SendBuf {
     data: Vec<u8>,
     next: u64,
-    retx: BTreeMap<u64, Vec<u8>>,
+    /// Lost ranges to resend first: offset -> length.
+    retx: BTreeMap<u64, usize>,
 }
 
 impl SendBuf {
-    fn queue(&mut self, bytes: &[u8]) {
-        self.data.extend_from_slice(bytes);
-    }
-
-    /// Next chunk to transmit (retransmissions first), at most `max`
-    /// bytes.
-    fn next_chunk(&mut self, max: usize) -> Option<(u64, Vec<u8>)> {
+    /// Next range to transmit (retransmissions first), at most `max`
+    /// bytes: `(offset, length)`.
+    fn next_chunk(&mut self, max: usize) -> Option<(u64, usize)> {
         if max == 0 {
             return None;
         }
-        if let Some((&off, _)) = self.retx.first_key_value() {
-            let chunk = self.retx.remove(&off).expect("peeked");
-            if chunk.len() > max {
-                self.retx.insert(off + max as u64, chunk[max..].to_vec());
-                return Some((off, chunk[..max].to_vec()));
+        if let Some((off, len)) = self.retx.pop_first() {
+            if len > max {
+                self.retx.insert(off + max as u64, len - max);
+                return Some((off, max));
             }
-            return Some((off, chunk));
+            return Some((off, len));
         }
         let avail = self.data.len() as u64 - self.next;
         if avail == 0 {
@@ -130,13 +147,17 @@ impl SendBuf {
         }
         let n = (avail as usize).min(max);
         let off = self.next;
-        let chunk = self.data[off as usize..off as usize + n].to_vec();
         self.next += n as u64;
-        Some((off, chunk))
+        Some((off, n))
     }
 
-    fn on_lost(&mut self, offset: u64, data: Vec<u8>) {
-        self.retx.entry(offset).or_insert(data);
+    fn on_lost(&mut self, offset: u64, len: usize) {
+        self.retx.entry(offset).or_insert(len);
+    }
+
+    fn slice(&self, offset: u64, len: usize) -> &[u8] {
+        let start = offset as usize;
+        &self.data[start..start + len]
     }
 }
 
@@ -177,10 +198,6 @@ impl RecvBuf {
             self.segments.entry(offset).or_insert_with(|| data.to_vec());
         }
     }
-
-    fn take(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.assembled)
-    }
 }
 
 /// A bidirectional stream.
@@ -189,8 +206,6 @@ struct Stream {
     send: SendBuf,
     /// FIN requested by the application.
     fin_queued: bool,
-    /// Offset at which our FIN sits, once reserved.
-    fin_offset: Option<u64>,
     fin_sent: bool,
     recv: RecvBuf,
     /// Final size signalled by the peer's FIN.
@@ -204,11 +219,94 @@ impl Stream {
     }
 }
 
+/// A frame as planned and sent: metadata only. CRYPTO and STREAM
+/// frames name a range of their send buffer, which still holds the
+/// bytes when the frame is encoded or lost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SentFrame {
+    Ping,
+    /// An ACK of the space's `ranges` newest received ranges, `len`
+    /// bytes on the wire.
+    Ack {
+        ranges: usize,
+        len: usize,
+    },
+    Crypto {
+        offset: u64,
+        len: usize,
+    },
+    /// A NEW_TOKEN bound to the peer's current address.
+    NewToken,
+    Stream {
+        id: u64,
+        offset: u64,
+        len: usize,
+        fin: bool,
+    },
+    PathChallenge([u8; 8]),
+    PathResponse([u8; 8]),
+    ConnectionClose {
+        error_code: u64,
+    },
+    HandshakeDone,
+}
+
+impl SentFrame {
+    fn is_ack_eliciting(&self) -> bool {
+        !matches!(
+            self,
+            SentFrame::Ack { .. } | SentFrame::ConnectionClose { .. }
+        )
+    }
+
+    /// Encoded size; the same encoder writes the frame.
+    fn wire_len(&self) -> usize {
+        let mut n = WireLen(0);
+        match *self {
+            SentFrame::Ping => write_ping(&mut n),
+            SentFrame::Ack { len, .. } => n.0 = len,
+            SentFrame::Crypto { offset, len } => {
+                write_crypto_header(&mut n, offset, len);
+                n.0 += len;
+            }
+            SentFrame::NewToken => write_new_token(&mut n, &[0; TOKEN_LEN]),
+            SentFrame::Stream {
+                id,
+                offset,
+                len,
+                fin,
+            } => {
+                write_stream_header(&mut n, id, offset, len, fin);
+                n.0 += len;
+            }
+            SentFrame::PathChallenge(data) => write_path_challenge(&mut n, &data),
+            SentFrame::PathResponse(data) => write_path_response(&mut n, &data),
+            SentFrame::ConnectionClose { error_code } => {
+                write_connection_close(&mut n, error_code, &[])
+            }
+            SentFrame::HandshakeDone => write_handshake_done(&mut n),
+        }
+        n.0
+    }
+}
+
 #[derive(Debug)]
 struct SentPacket {
     time: SimTime,
     ack_eliciting: bool,
-    frames: Vec<Frame>,
+    frames: Vec<SentFrame>,
+}
+
+/// Frame lists of acknowledged or lost packets kept for reuse; a
+/// connection rarely has more than a few packets in flight.
+const FRAME_LIST_POOL: usize = 8;
+
+/// Return a sent packet's frame list to the pool.
+fn recycle(pool: &mut Vec<Vec<SentFrame>>, mut frames: Vec<SentFrame>) {
+    if pool.len() < FRAME_LIST_POOL {
+        frames.clear();
+        pool.push(frames);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -216,26 +314,37 @@ struct Space {
     next_pn: u64,
     sent: BTreeMap<u64, SentPacket>,
     /// Every pn we have received (for ACK frames and dedup).
-    received: BTreeSet<u64>,
+    received: RangeSet,
     ack_owed: bool,
     crypto_tx: SendBuf,
+    /// In-order CRYPTO bytes; a partial handshake message stays at the
+    /// front until the rest arrives.
     crypto_rx: RecvBuf,
-    /// Contiguous handshake bytes not yet forming a complete message.
-    hs_partial: Vec<u8>,
 }
 
-impl Space {
-    /// Build descending ACK ranges from the received set.
-    fn ack_ranges(&self) -> Vec<(u64, u64)> {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for &pn in self.received.iter().rev() {
-            match ranges.last_mut() {
-                Some((_hi, lo)) if *lo == pn + 1 => *lo = pn,
-                _ => ranges.push((pn, pn)),
-            }
-        }
-        ranges
+/// One packet of a planned datagram: its frames are
+/// `plan[start..end]`, and an Initial may end in `pad` PADDING bytes.
+#[derive(Debug, Clone, Copy)]
+struct Part {
+    ptype: PacketType,
+    start: usize,
+    end: usize,
+    pad: usize,
+}
+
+fn epoch_of(ptype: PacketType) -> usize {
+    match ptype {
+        PacketType::Initial => EPOCH_INITIAL,
+        PacketType::Handshake => EPOCH_HANDSHAKE,
+        _ => EPOCH_APP,
     }
+}
+
+/// Whether stream `id` was opened by the peer of `role`: bit 0 of a
+/// stream id names its initiator (RFC 9000 §2.1).
+fn peer_initiated(role: Role, id: u64) -> bool {
+    let server_initiated = id & 0x01 == 1;
+    server_initiated == (role == Role::Client)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,7 +366,7 @@ enum HsState {
 /// A QUIC connection endpoint.
 #[derive(Debug)]
 pub struct QuicConnection {
-    cfg: QuicConfig,
+    cfg: Arc<QuicConfig>,
     role: Role,
     pub local: SocketAddr,
     pub remote: SocketAddr,
@@ -268,8 +377,6 @@ pub struct QuicConnection {
     streams: BTreeMap<u64, Stream>,
     next_stream_id: u64,
     next_uni_stream_id: u64,
-    /// Stream ids this endpoint opened (anything else is peer-opened).
-    locally_opened: std::collections::HashSet<u64>,
     /// Streams opened by the peer not yet handed to the application.
     new_peer_streams: VecDeque<u64>,
     hs: HsState,
@@ -286,7 +393,9 @@ pub struct QuicConnection {
     tickets_rx: Vec<SessionTicket>,
     early_permitted: bool,
     early_accepted: Option<bool>,
-    early_stream_frames: Vec<(u64, u64, Vec<u8>, bool)>,
+    /// 0-RTT STREAM frames sent: (id, offset, length, fin), replayed in
+    /// 1-RTT if the server rejects early data.
+    early_stream_frames: Vec<(u64, u64, usize, bool)>,
     resumed: bool,
 
     // Address validation / amplification (server).
@@ -328,6 +437,11 @@ pub struct QuicConnection {
     pto_deadline: Option<SimTime>,
     /// Statistics: version negotiation round trips observed.
     pub vn_round_trips: u32,
+
+    // Output scratch: the frames of the datagram being built, and
+    // frame lists of settled packets for reuse.
+    plan: Vec<SentFrame>,
+    frame_lists: Vec<Vec<SentFrame>>,
 }
 
 impl QuicConnection {
@@ -336,7 +450,7 @@ impl QuicConnection {
     /// address-validation token from a previous connection.
     #[allow(clippy::too_many_arguments)]
     pub fn client(
-        cfg: QuicConfig,
+        cfg: impl Into<Arc<QuicConfig>>,
         local: SocketAddr,
         remote: SocketAddr,
         initial_version: u32,
@@ -345,7 +459,14 @@ impl QuicConnection {
         rng: &mut SimRng,
         now: SimTime,
     ) -> Self {
-        let mut c = QuicConnection::new(cfg, Role::Client, local, remote, initial_version, now);
+        let mut c = QuicConnection::new(
+            cfg.into(),
+            Role::Client,
+            local,
+            remote,
+            initial_version,
+            now,
+        );
         c.dcid = rng.next_u64().to_be_bytes();
         c.scid = rng.next_u64().to_be_bytes();
         c.ticket = ticket;
@@ -355,7 +476,7 @@ impl QuicConnection {
     }
 
     fn server(
-        cfg: QuicConfig,
+        cfg: Arc<QuicConfig>,
         local: SocketAddr,
         remote: SocketAddr,
         version: u32,
@@ -370,7 +491,7 @@ impl QuicConnection {
     }
 
     fn new(
-        cfg: QuicConfig,
+        cfg: Arc<QuicConfig>,
         role: Role,
         local: SocketAddr,
         remote: SocketAddr,
@@ -390,7 +511,6 @@ impl QuicConnection {
             streams: BTreeMap::new(),
             next_stream_id: 0,
             next_uni_stream_id: 0,
-            locally_opened: std::collections::HashSet::new(),
             new_peer_streams: VecDeque::new(),
             hs: HsState::Initial,
             established_at: None,
@@ -428,28 +548,31 @@ impl QuicConnection {
             idle_deadline: Some(now + max_idle),
             pto_deadline: None,
             vn_round_trips: 0,
+            plan: Vec::new(),
+            frame_lists: Vec::new(),
         }
     }
 
     fn start_handshake(&mut self, now: SimTime) {
         let psk = self
             .ticket
-            .clone()
+            .as_ref()
             .filter(|t| t.is_valid_at(now) && t.version == TlsVersion::Tls13);
-        self.early_permitted =
-            self.cfg.tls.enable_0rtt && psk.as_ref().is_some_and(|t| t.allows_early_data);
-        let ch = HandshakePayload::ClientHello {
-            versions: vec![TlsVersion::Tls13],
-            alpn: self.cfg.tls.alpn.clone(),
-            psk,
+        self.early_permitted = self.cfg.tls.enable_0rtt && psk.is_some_and(|t| t.allows_early_data);
+        // The ClientHello is encoded from the configuration by
+        // reference, straight into the Initial send buffer.
+        let tx = &mut self.spaces[EPOCH_INITIAL].crypto_tx.data;
+        let before = tx.len();
+        HandshakeRef::ClientHello {
+            versions: Versions::List(&[TlsVersion::Tls13]),
+            alpn: Alpns::List(&self.cfg.tls.alpn),
+            psk: psk.map(SessionTicket::view),
             early_data: self.early_permitted,
             // ~100 bytes of QUIC transport parameters.
             pad: 100 + self.cfg.tls.extra_client_hello_pad,
-        };
-        let mut bytes = Vec::new();
-        HandshakeMessage::new(ch).encode(&mut bytes);
-        self.spaces[EPOCH_INITIAL].crypto_tx.queue(&bytes);
-        let flight_len = bytes.len();
+        }
+        .encode(tx);
+        let flight_len = tx.len() - before;
         sink::emit(now.as_nanos(), || Event::TlsFlightSent {
             flight: "client_hello",
             bytes: flight_len,
@@ -509,7 +632,6 @@ impl QuicConnection {
         let base = if self.role == Role::Client { 0 } else { 1 };
         let id = self.next_stream_id * 4 + base;
         self.next_stream_id += 1;
-        self.locally_opened.insert(id);
         self.streams.entry(id).or_default();
         id
     }
@@ -520,7 +642,6 @@ impl QuicConnection {
         let base = if self.role == Role::Client { 2 } else { 3 };
         let id = self.next_uni_stream_id * 4 + base;
         self.next_uni_stream_id += 1;
-        self.locally_opened.insert(id);
         self.streams.entry(id).or_default();
         id
     }
@@ -529,7 +650,7 @@ impl QuicConnection {
     /// transmitted when 0-RTT is permitted (otherwise it waits).
     pub fn stream_send(&mut self, id: u64, data: &[u8], fin: bool) {
         let stream = self.streams.entry(id).or_default();
-        stream.send.queue(data);
+        stream.send.data.extend_from_slice(data);
         if fin {
             stream.fin_queued = true;
         }
@@ -538,21 +659,38 @@ impl QuicConnection {
     /// Read assembled stream data; `bool` reports whether the peer
     /// finished the stream and everything has been delivered.
     pub fn stream_recv(&mut self, id: u64) -> (Vec<u8>, bool) {
-        match self.streams.get_mut(&id) {
-            Some(s) => {
-                let complete = s.rx_complete();
-                if complete {
-                    s.rx_fin_delivered = true;
-                }
-                (s.recv.take(), complete)
-            }
-            None => (Vec::new(), false),
+        let mut data = Vec::new();
+        let complete = self.stream_recv_into(id, &mut data);
+        (data, complete)
+    }
+
+    /// [`Self::stream_recv`] that appends to `out` (handing over the
+    /// stream's buffer when `out` is empty) and returns the `bool`.
+    pub fn stream_recv_into(&mut self, id: u64, out: &mut Vec<u8>) -> bool {
+        let Some(s) = self.streams.get_mut(&id) else {
+            return false;
+        };
+        let complete = s.rx_complete();
+        if complete {
+            s.rx_fin_delivered = true;
         }
+        if out.is_empty() {
+            std::mem::swap(out, &mut s.recv.assembled);
+        } else {
+            out.extend_from_slice(&s.recv.assembled);
+            s.recv.assembled.clear();
+        }
+        complete
     }
 
     /// Streams the peer opened since the last call.
     pub fn take_new_peer_streams(&mut self) -> Vec<u64> {
         self.new_peer_streams.drain(..).collect()
+    }
+
+    /// The oldest stream the peer opened that is not yet handed out.
+    pub fn next_new_peer_stream(&mut self) -> Option<u64> {
+        self.new_peer_streams.pop_front()
     }
 
     /// Begin closing with an application error code.
@@ -649,7 +787,7 @@ impl QuicConnection {
         }
         let mut pos = 0;
         while pos < data.len() {
-            let Some(pkt) = Packet::decode(data, &mut pos) else {
+            let Some(pkt) = PacketRef::decode(data, &mut pos) else {
                 break;
             };
             self.on_packet(now, pkt);
@@ -668,7 +806,7 @@ impl QuicConnection {
         self.start_handshake(now);
     }
 
-    fn on_packet(&mut self, now: SimTime, pkt: Packet) {
+    fn on_packet(&mut self, now: SimTime, pkt: PacketRef<'_>) {
         let (ptype, size) = (ptype_str(pkt.ptype), pkt.payload.len());
         sink::emit(now.as_nanos(), || Event::QuicPacketReceived { ptype, size });
         metrics::count(Counter::QuicPacketsReceived, 1);
@@ -679,18 +817,13 @@ impl QuicConnection {
                 sink::emit(now.as_nanos(), || Event::QuicStateUpdated {
                     state: "retry_received",
                 });
-                self.token = Some(pkt.token);
+                self.token = Some(pkt.token.to_vec());
                 let v = self.version;
                 self.restart_with_version(now, v);
             }
             return;
         }
-        let epoch = match pkt.ptype {
-            PacketType::Initial => EPOCH_INITIAL,
-            PacketType::Handshake => EPOCH_HANDSHAKE,
-            PacketType::ZeroRtt | PacketType::OneRtt => EPOCH_APP,
-            PacketType::Retry => unreachable!(),
-        };
+        let epoch = epoch_of(pkt.ptype);
         // A Handshake packet from the client proves address ownership.
         if self.role == Role::Server && pkt.ptype == PacketType::Handshake {
             self.validated = true;
@@ -704,13 +837,13 @@ impl QuicConnection {
         if !self.spaces[epoch].received.insert(pkt.packet_number) {
             return; // duplicate
         }
-        let Some(frames) = Frame::decode_all(&pkt.payload) else {
+        // A packet with any malformed frame is dropped whole: check
+        // every frame before applying the first.
+        let Some(ack_eliciting) = frame::validate(pkt.payload) else {
             return;
         };
         let zero_rtt = pkt.ptype == PacketType::ZeroRtt;
-        let mut ack_eliciting = false;
-        for frame in frames {
-            ack_eliciting |= frame.is_ack_eliciting();
+        for frame in FrameIter::new(pkt.payload) {
             self.on_frame(now, epoch, zero_rtt, frame);
             if self.draining {
                 return;
@@ -721,20 +854,20 @@ impl QuicConnection {
         }
     }
 
-    fn on_frame(&mut self, now: SimTime, epoch: usize, zero_rtt: bool, frame: Frame) {
+    fn on_frame(&mut self, now: SimTime, epoch: usize, zero_rtt: bool, frame: FrameRef<'_>) {
         match frame {
-            Frame::Padding(_) | Frame::Ping => {}
-            Frame::Ack { ranges, .. } => self.on_ack(now, epoch, &ranges),
-            Frame::Crypto { offset, data } => {
-                self.spaces[epoch].crypto_rx.insert(offset, &data);
+            FrameRef::Padding(_) | FrameRef::Ping => {}
+            FrameRef::Ack(ack) => self.on_ack(now, epoch, ack),
+            FrameRef::Crypto { offset, data } => {
+                self.spaces[epoch].crypto_rx.insert(offset, data);
                 self.process_crypto(now, epoch);
             }
-            Frame::NewToken { token } => {
+            FrameRef::NewToken { token } => {
                 if self.role == Role::Client {
-                    self.new_token_rx = Some(token);
+                    self.new_token_rx = Some(token.to_vec());
                 }
             }
-            Frame::Stream {
+            FrameRef::Stream {
                 id,
                 offset,
                 data,
@@ -746,19 +879,19 @@ impl QuicConnection {
                 }
                 let known = self.streams.contains_key(&id);
                 let stream = self.streams.entry(id).or_default();
-                stream.recv.insert(offset, &data);
+                stream.recv.insert(offset, data);
                 if fin {
                     stream.rx_fin = Some(offset + data.len() as u64);
                 }
-                if !known && !self.locally_opened.contains(&id) {
+                if !known && peer_initiated(self.role, id) {
                     self.new_peer_streams.push_back(id);
                 }
             }
-            Frame::ConnectionClose { error_code, .. } => {
+            FrameRef::ConnectionClose { error_code, .. } => {
                 self.error.get_or_insert(QuicError::PeerClosed(error_code));
                 self.draining = true;
             }
-            Frame::HandshakeDone => {
+            FrameRef::HandshakeDone => {
                 if self.role == Role::Client {
                     self.handshake_confirmed = true;
                     sink::emit(now.as_nanos(), || Event::QuicStateUpdated {
@@ -766,13 +899,13 @@ impl QuicConnection {
                     });
                 }
             }
-            Frame::PathChallenge(data) => {
+            FrameRef::PathChallenge(data) => {
                 // Echo on the active path (§8.2.2). If a second
                 // challenge arrives before the first echo leaves, only
                 // the latest matters — the peer only tracks one probe.
                 self.path_response_queued = Some(data);
             }
-            Frame::PathResponse(data) => {
+            FrameRef::PathResponse(data) => {
                 // Only the exact outstanding challenge validates the
                 // path; stale or corrupted echoes are ignored (§8.2.3).
                 if self.path_challenge_pending == Some(data) {
@@ -791,20 +924,20 @@ impl QuicConnection {
         }
     }
 
-    fn on_ack(&mut self, now: SimTime, epoch: usize, ranges: &[(u64, u64)]) {
-        let largest = ranges.first().map(|r| r.0);
+    fn on_ack(&mut self, now: SimTime, epoch: usize, ack: AckRef<'_>) {
+        let largest = ack.largest;
         let mut newly_acked = false;
         let mut rtt_sample = None;
-        for &(hi, lo) in ranges {
-            let space = &mut self.spaces[epoch];
-            let acked: Vec<u64> = space.sent.range(lo..=hi).map(|(pn, _)| *pn).collect();
-            for pn in acked {
+        let space = &mut self.spaces[epoch];
+        for (hi, lo) in ack.ranges() {
+            while let Some((&pn, _)) = space.sent.range(lo..=hi).next() {
                 let sp = space.sent.remove(&pn).expect("ranged");
                 newly_acked = true;
-                if Some(pn) == largest && sp.ack_eliciting {
+                if pn == largest && sp.ack_eliciting {
                     // RTT sample from the largest newly acked packet.
                     rtt_sample = Some(now - sp.time);
                 }
+                recycle(&mut self.frame_lists, sp.frames);
             }
         }
         if let Some(rtt) = rtt_sample {
@@ -824,56 +957,54 @@ impl QuicConnection {
         }
         // Packet-threshold loss detection: anything 3 packets below the
         // largest acked is lost.
-        if let Some(largest) = largest {
-            let lost: Vec<u64> = self.spaces[epoch]
-                .sent
-                .range(..largest.saturating_sub(2))
-                .map(|(pn, _)| *pn)
-                .collect();
-            for pn in lost {
-                let sp = self.spaces[epoch].sent.remove(&pn).expect("ranged");
-                sink::emit(now.as_nanos(), || Event::QuicPacketLost {
-                    ptype: epoch_str(epoch),
-                    pn,
-                });
-                metrics::count(Counter::QuicPacketsLost, 1);
-                self.requeue_lost_frames(epoch, sp.frames);
+        let threshold = largest.saturating_sub(2);
+        while let Some(entry) = self.spaces[epoch].sent.first_entry() {
+            if *entry.key() >= threshold {
+                break;
             }
+            let (pn, sp) = entry.remove_entry();
+            sink::emit(now.as_nanos(), || Event::QuicPacketLost {
+                ptype: epoch_str(epoch),
+                pn,
+            });
+            metrics::count(Counter::QuicPacketsLost, 1);
+            self.requeue_lost_frames(epoch, &sp.frames);
+            recycle(&mut self.frame_lists, sp.frames);
         }
         self.rearm_pto(now);
     }
 
-    fn requeue_lost_frames(&mut self, epoch: usize, frames: Vec<Frame>) {
-        for f in frames {
+    fn requeue_lost_frames(&mut self, epoch: usize, frames: &[SentFrame]) {
+        for &f in frames {
             match f {
-                Frame::Crypto { offset, data } => {
-                    self.spaces[epoch].crypto_tx.on_lost(offset, data)
+                SentFrame::Crypto { offset, len } => {
+                    self.spaces[epoch].crypto_tx.on_lost(offset, len)
                 }
-                Frame::Stream {
+                SentFrame::Stream {
                     id,
                     offset,
-                    data,
+                    len,
                     fin,
                 } => {
                     if let Some(s) = self.streams.get_mut(&id) {
-                        s.send.on_lost(offset, data);
+                        s.send.on_lost(offset, len);
                         if fin {
                             s.fin_sent = false;
                         }
                     }
                 }
-                Frame::NewToken { .. } => self.new_token_queued = true,
-                Frame::HandshakeDone => self.handshake_done_queued = true,
-                Frame::PathChallenge(_) => {
+                SentFrame::NewToken => self.new_token_queued = true,
+                SentFrame::HandshakeDone => self.handshake_done_queued = true,
+                SentFrame::PathChallenge(_) => {
                     // Re-queue only while the validation attempt is
                     // still live (not answered or abandoned since).
                     if self.path_challenge_pending.is_some() {
                         self.path_challenge_queued = true;
                     }
                 }
-                Frame::PathResponse(data) => self.path_response_queued = Some(data),
-                Frame::Ping | Frame::Padding(_) | Frame::Ack { .. } => {}
-                Frame::ConnectionClose { .. } => self.close_sent = false,
+                SentFrame::PathResponse(data) => self.path_response_queued = Some(data),
+                SentFrame::Ping | SentFrame::Ack { .. } => {}
+                SentFrame::ConnectionClose { .. } => self.close_sent = false,
             }
         }
     }
@@ -881,23 +1012,27 @@ impl QuicConnection {
     // ---- handshake --------------------------------------------------------
 
     fn process_crypto(&mut self, now: SimTime, epoch: usize) {
-        let bytes = self.spaces[epoch].crypto_rx.take();
-        self.spaces[epoch].hs_partial.extend_from_slice(&bytes);
-        // Decode until a partial message remains (wait for more CRYPTO data).
-        while let Some((msg, used)) = HandshakeMessage::decode(&self.spaces[epoch].hs_partial) {
-            self.spaces[epoch].hs_partial.drain(..used);
+        // Decode messages in place from the reassembled bytes; a partial
+        // message stays buffered until more CRYPTO data arrives.
+        let buf = std::mem::take(&mut self.spaces[epoch].crypto_rx.assembled);
+        let mut pos = 0;
+        while let Some((msg, used)) = HandshakeRef::decode(&buf[pos..]) {
+            pos += used;
             self.on_handshake_message(now, msg);
             if self.hs == HsState::Failed || self.draining {
                 break;
             }
         }
+        let mut buf = buf;
+        buf.drain(..pos);
+        self.spaces[epoch].crypto_rx.assembled = buf;
     }
 
-    fn on_handshake_message(&mut self, now: SimTime, msg: HandshakeMessage) {
-        match (self.role, msg.payload) {
+    fn on_handshake_message(&mut self, now: SimTime, msg: HandshakeRef<'_>) {
+        match (self.role, msg) {
             (
                 Role::Server,
-                HandshakePayload::ClientHello {
+                HandshakeRef::ClientHello {
                     versions,
                     alpn,
                     psk,
@@ -908,40 +1043,43 @@ impl QuicConnection {
                 if self.hs != HsState::Initial {
                     return;
                 }
-                if !versions.contains(&TlsVersion::Tls13) {
+                if !versions.contains(TlsVersion::Tls13) {
                     return self.hs_fail("QUIC requires TLS 1.3");
                 }
-                let chosen = alpn.iter().find(|a| self.cfg.tls.alpn.contains(a)).cloned();
+                // The offered list is scanned in place.
+                let chosen = alpn
+                    .iter()
+                    .find(|a| self.cfg.tls.alpn.iter().any(|ours| ours == a));
                 if chosen.is_none() {
                     self.error = Some(QuicError::NoCommonAlpn);
                     self.close_queued = Some(0x178); // crypto error: no_application_protocol
                     self.hs = HsState::Failed;
                     return;
                 }
-                self.alpn = chosen.clone();
-                let psk_ok = psk.as_ref().is_some_and(|t| {
+                self.alpn = chosen.map(<[u8]>::to_vec);
+                let psk_ok = psk.is_some_and(|t| {
                     t.server_id == self.cfg.tls.server_id
                         && t.is_valid_at(now)
                         && t.version == TlsVersion::Tls13
-                        && chosen.as_deref() == Some(&t.alpn[..])
+                        && chosen == Some(t.alpn)
                 });
                 self.resumed = psk_ok;
                 let early = psk_ok
                     && early_data
                     && self.cfg.tls.enable_0rtt
-                    && psk.as_ref().is_some_and(|t| t.allows_early_data);
+                    && psk.is_some_and(|t| t.allows_early_data);
                 self.early_accepted = Some(early);
                 // SH in Initial; EE(+Cert+CV)+Fin in Handshake.
                 self.queue_hs(
                     EPOCH_INITIAL,
-                    HandshakePayload::ServerHello {
+                    HandshakeRef::ServerHello {
                         version: TlsVersion::Tls13,
                         resumed: psk_ok,
                     },
                 );
                 self.queue_hs(
                     EPOCH_HANDSHAKE,
-                    HandshakePayload::EncryptedExtensions {
+                    HandshakeRef::EncryptedExtensions {
                         alpn: chosen,
                         early_data_accepted: early,
                     },
@@ -949,26 +1087,26 @@ impl QuicConnection {
                 if !psk_ok {
                     self.queue_hs(
                         EPOCH_HANDSHAKE,
-                        HandshakePayload::Certificate {
+                        HandshakeRef::Certificate {
                             chain_len: self.cfg.tls.cert_chain_len,
                         },
                     );
-                    self.queue_hs(EPOCH_HANDSHAKE, HandshakePayload::CertificateVerify);
+                    self.queue_hs(EPOCH_HANDSHAKE, HandshakeRef::CertificateVerify);
                 }
-                self.queue_hs(EPOCH_HANDSHAKE, HandshakePayload::Finished);
+                self.queue_hs(EPOCH_HANDSHAKE, HandshakeRef::Finished);
                 self.hs = HsState::WaitFinished;
             }
-            (Role::Client, HandshakePayload::ServerHello { resumed, .. }) => {
+            (Role::Client, HandshakeRef::ServerHello { resumed, .. }) => {
                 self.resumed = resumed;
             }
             (
                 Role::Client,
-                HandshakePayload::EncryptedExtensions {
+                HandshakeRef::EncryptedExtensions {
                     alpn,
                     early_data_accepted,
                 },
             ) => {
-                self.alpn = alpn;
+                self.alpn = alpn.map(<[u8]>::to_vec);
                 if self.early_permitted {
                     self.early_accepted = Some(early_data_accepted);
                     sink::emit(now.as_nanos(), || Event::TlsEarlyData {
@@ -984,10 +1122,10 @@ impl QuicConnection {
                     );
                     if !early_data_accepted {
                         // Replay 0-RTT stream data in 1-RTT.
-                        let frames = std::mem::take(&mut self.early_stream_frames);
-                        for (id, offset, data, fin) in frames {
+                        for (id, offset, len, fin) in std::mem::take(&mut self.early_stream_frames)
+                        {
                             if let Some(s) = self.streams.get_mut(&id) {
-                                s.send.on_lost(offset, data);
+                                s.send.on_lost(offset, len);
                                 if fin {
                                     s.fin_sent = false;
                                 }
@@ -996,13 +1134,13 @@ impl QuicConnection {
                     }
                 }
             }
-            (Role::Client, HandshakePayload::Certificate { .. })
-            | (Role::Client, HandshakePayload::CertificateVerify) => {}
-            (Role::Client, HandshakePayload::Finished) => {
+            (Role::Client, HandshakeRef::Certificate { .. })
+            | (Role::Client, HandshakeRef::CertificateVerify) => {}
+            (Role::Client, HandshakeRef::Finished) => {
                 if self.hs != HsState::Initial {
                     return;
                 }
-                self.queue_hs(EPOCH_HANDSHAKE, HandshakePayload::Finished);
+                self.queue_hs(EPOCH_HANDSHAKE, HandshakeRef::Finished);
                 self.hs = HsState::Done;
                 self.established_at = Some(now);
                 sink::emit(now.as_nanos(), || Event::QuicStateUpdated {
@@ -1016,7 +1154,7 @@ impl QuicConnection {
                     metrics::count(Counter::TlsResumedHandshakes, 1);
                 }
             }
-            (Role::Server, HandshakePayload::Finished) => {
+            (Role::Server, HandshakeRef::Finished) => {
                 if self.hs != HsState::WaitFinished {
                     return;
                 }
@@ -1033,19 +1171,20 @@ impl QuicConnection {
                     self.new_token_queued = true;
                 }
                 // Session ticket over 1-RTT CRYPTO.
-                let ticket = SessionTicket {
+                let ticket = SessionTicketRef {
                     server_id: self.cfg.tls.server_id,
                     version: TlsVersion::Tls13,
-                    alpn: self.alpn.clone().unwrap_or_default(),
+                    alpn: self.alpn.as_deref().unwrap_or_default(),
                     issued_at: now,
                     lifetime: self.cfg.tls.ticket_lifetime,
                     allows_early_data: self.cfg.tls.enable_0rtt,
                     opaque_len: 120,
                 };
-                self.queue_hs(EPOCH_APP, HandshakePayload::NewSessionTicket { ticket });
+                HandshakeRef::NewSessionTicket { ticket }
+                    .encode(&mut self.spaces[EPOCH_APP].crypto_tx.data);
             }
-            (Role::Client, HandshakePayload::NewSessionTicket { ticket }) => {
-                self.tickets_rx.push(ticket);
+            (Role::Client, HandshakeRef::NewSessionTicket { ticket }) => {
+                self.tickets_rx.push(ticket.to_owned());
             }
             _ => self.hs_fail("unexpected handshake message"),
         }
@@ -1057,10 +1196,9 @@ impl QuicConnection {
         self.close_queued = Some(0x100);
     }
 
-    fn queue_hs(&mut self, epoch: usize, payload: HandshakePayload) {
-        let mut bytes = Vec::new();
-        HandshakeMessage::new(payload).encode(&mut bytes);
-        self.spaces[epoch].crypto_tx.queue(&bytes);
+    /// Encode a handshake message straight into `epoch`'s send buffer.
+    fn queue_hs(&mut self, epoch: usize, msg: HandshakeRef<'_>) {
+        msg.encode(&mut self.spaces[epoch].crypto_tx.data);
     }
 
     // ---- timers -----------------------------------------------------------
@@ -1150,7 +1288,8 @@ impl QuicConnection {
                         .map(|(pn, _)| *pn);
                     if let Some(pn) = oldest {
                         let sp = self.spaces[epoch].sent.remove(&pn).expect("found");
-                        self.requeue_lost_frames(epoch, sp.frames);
+                        self.requeue_lost_frames(epoch, &sp.frames);
+                        recycle(&mut self.frame_lists, sp.frames);
                     }
                 }
                 // A client with nothing ack-eliciting in flight still
@@ -1196,78 +1335,126 @@ impl QuicConnection {
 
     /// Build all datagrams that should be transmitted now.
     pub fn poll_transmit(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        self.poll_transmit_with(now, |dgram| out.push(dgram.into_vec()));
+        out
+    }
+
+    /// Build all datagrams that should be transmitted now, handing each
+    /// to `emit` in a pooled buffer.
+    pub fn poll_transmit_with(&mut self, now: SimTime, mut emit: impl FnMut(PayloadBuf)) {
         if self.draining {
-            return Vec::new();
+            return;
         }
         self.handle_timers(now);
         if self.draining {
-            return Vec::new();
+            return;
         }
-        let mut datagrams = Vec::new();
         // Amplification budget (servers, pre-validation).
         let mut budget = if self.validated {
             usize::MAX
         } else {
-            (AMPLIFICATION_FACTOR * self.bytes_received).saturating_sub(self.bytes_sent)
+            AMPLIFICATION_FACTOR
+                .saturating_mul(self.bytes_received)
+                .saturating_sub(self.bytes_sent)
         };
         for _ in 0..64 {
             if budget < 64 {
                 break; // not even room for a minimal packet
             }
-            let dgram = self.build_datagram(now, budget.min(self.cfg.max_datagram));
-            if dgram.is_empty() {
+            let Some(dgram) = self.build_datagram(now, budget.min(self.cfg.max_datagram)) else {
                 break;
-            }
+            };
             budget = budget.saturating_sub(dgram.len());
             self.bytes_sent += dgram.len();
-            datagrams.push(dgram);
+            emit(dgram);
         }
         self.rearm_pto(now);
-        datagrams
     }
 
-    /// Assemble one datagram of at most `budget` bytes; empty if there
+    /// Assemble one datagram of at most `budget` bytes; `None` if there
     /// is nothing to send.
-    fn build_datagram(&mut self, now: SimTime, budget: usize) -> Vec<u8> {
+    fn build_datagram(&mut self, now: SimTime, budget: usize) -> Option<PayloadBuf> {
+        let mut plan = std::mem::take(&mut self.plan);
+        plan.clear();
+        let mut parts = [Part {
+            ptype: PacketType::Initial,
+            start: 0,
+            end: 0,
+            pad: 0,
+        }; 3];
+        let n = self.plan_datagram(now, budget, &mut plan, &mut parts);
+        let dgram = (n > 0).then(|| self.encode_datagram(now, &parts[..n], &plan));
+        self.plan = plan;
+        dgram
+    }
+
+    /// An ACK of as many of `epoch`'s received ranges as fit in `room`
+    /// bytes, newest first (RFC 9000 §13.2.4 lets an ACK omit old
+    /// ranges). `None` if nothing was received or not even the newest
+    /// range fits.
+    fn plan_ack(&self, epoch: usize, room: usize) -> Option<SentFrame> {
+        let received = &self.spaces[epoch].received;
+        let len_of = |ranges: usize| {
+            let mut len = WireLen(0);
+            write_ack(&mut len, 0, ranges, received.iter_desc());
+            len.0
+        };
+        // The length grows with the range count: binary-search the most
+        // ranges that fit (usually all of them, and there is one).
+        let (mut lo, mut hi) = (0, received.iter_desc().count());
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            if len_of(mid) <= room {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        (lo > 0).then(|| SentFrame::Ack {
+            ranges: lo,
+            len: len_of(lo),
+        })
+    }
+
+    /// Plan the frames of one datagram of at most `budget` bytes into
+    /// `plan` and its packets into `parts`; returns the packet count.
+    fn plan_datagram(
+        &mut self,
+        now: SimTime,
+        budget: usize,
+        plan: &mut Vec<SentFrame>,
+        parts: &mut [Part; 3],
+    ) -> usize {
         // Per-epoch long-header overhead (header + pn + tag), generous.
         const LONG_OVERHEAD: usize = 1 + 4 + 2 + 2 * CID_LEN + 8 + 4 + PACKET_TAG_LEN;
         const SHORT_OVERHEAD: usize = 1 + CID_LEN + 4 + PACKET_TAG_LEN;
-        let mut parts: Vec<(PacketType, Vec<Frame>)> = Vec::new();
+        let mut nparts = 0;
         let mut remaining = budget;
         let mut contains_initial = false;
         let mut initial_ack_eliciting = false;
+        let frames_len =
+            |frames: &[SentFrame]| frames.iter().map(SentFrame::wire_len).sum::<usize>();
 
         // CONNECTION_CLOSE preempts everything.
-        if let Some(code) = self.close_queued {
-            if !self.close_sent {
-                self.close_sent = true;
-                let epoch_type = if self.is_established() {
+        if let Some(error_code) = self.close_queued {
+            if self.close_sent {
+                return 0;
+            }
+            self.close_sent = true;
+            self.draining = true;
+            plan.push(SentFrame::ConnectionClose { error_code });
+            parts[0] = Part {
+                ptype: if self.is_established() {
                     PacketType::OneRtt
                 } else {
                     PacketType::Initial
-                };
-                let frames = vec![Frame::ConnectionClose {
-                    error_code: code,
-                    reason: Vec::new(),
-                }];
-                let mut out = Vec::new();
-                self.encode_packet(epoch_type, frames, &mut out);
-                let epoch = if epoch_type == PacketType::OneRtt {
-                    EPOCH_APP
-                } else {
-                    EPOCH_INITIAL
-                };
-                let (pn, size) = (self.spaces[epoch].next_pn - 1, out.len());
-                sink::emit(now.as_nanos(), || Event::QuicPacketSent {
-                    ptype: ptype_str(epoch_type),
-                    pn,
-                    size,
-                });
-                metrics::count(Counter::QuicPacketsSent, 1);
-                self.draining = true;
-                return out;
-            }
-            return Vec::new();
+                },
+                start: 0,
+                end: 1,
+                pad: 0,
+            };
+            return 1;
         }
 
         // Initial + Handshake epochs: ACKs then CRYPTO.
@@ -1278,37 +1465,42 @@ impl QuicConnection {
             if remaining < LONG_OVERHEAD + 8 {
                 break;
             }
-            let mut frames = Vec::new();
+            let start = plan.len();
+            let mut frame_budget = remaining - LONG_OVERHEAD;
             if self.spaces[epoch].ack_owed {
-                let ranges = self.spaces[epoch].ack_ranges();
-                if !ranges.is_empty() {
-                    frames.push(Frame::Ack { ranges, delay: 0 });
+                if let Some(ack) = self.plan_ack(epoch, frame_budget) {
+                    frame_budget -= ack.wire_len();
+                    plan.push(ack);
+                    self.spaces[epoch].ack_owed = false;
                 }
-                self.spaces[epoch].ack_owed = false;
             }
-            let mut frame_budget =
-                remaining - LONG_OVERHEAD - frames.iter().map(|f| f.wire_len()).sum::<usize>();
             while frame_budget > 8 {
                 let max_chunk = frame_budget - 8; // frame header slack
-                let Some((offset, data)) = self.spaces[epoch].crypto_tx.next_chunk(max_chunk)
-                else {
+                let Some((offset, len)) = self.spaces[epoch].crypto_tx.next_chunk(max_chunk) else {
                     break;
                 };
-                let f = Frame::Crypto { offset, data };
+                let f = SentFrame::Crypto { offset, len };
                 frame_budget -= f.wire_len().min(frame_budget);
-                frames.push(f);
+                plan.push(f);
             }
-            if self.ping_queued && epoch == EPOCH_INITIAL && frames.is_empty() {
+            if self.ping_queued && epoch == EPOCH_INITIAL && plan.len() == start {
                 self.ping_queued = false;
-                frames.push(Frame::Ping);
+                plan.push(SentFrame::Ping);
             }
-            if !frames.is_empty() {
+            if plan.len() > start {
+                let frames = &plan[start..];
                 if ptype == PacketType::Initial {
                     contains_initial = true;
-                    initial_ack_eliciting |= frames.iter().any(|f| f.is_ack_eliciting());
+                    initial_ack_eliciting |= frames.iter().any(SentFrame::is_ack_eliciting);
                 }
-                remaining -= LONG_OVERHEAD + frames.iter().map(|f| f.wire_len()).sum::<usize>();
-                parts.push((ptype, frames));
+                remaining = remaining.saturating_sub(LONG_OVERHEAD + frames_len(frames));
+                parts[nparts] = Part {
+                    ptype,
+                    start,
+                    end: plan.len(),
+                    pad: 0,
+                };
+                nparts += 1;
             }
         }
 
@@ -1320,7 +1512,7 @@ impl QuicConnection {
             Role::Client => self.is_established(),
             Role::Server => matches!(self.hs, HsState::WaitFinished | HsState::Done),
         };
-        let app_ptype = if !parts.is_empty() {
+        let app_ptype = if nparts > 0 {
             // Keep 1-RTT/0-RTT data out of datagrams carrying
             // Initial/Handshake packets: those are the handshake phase
             // on the wire (client Initials are padded to 1200 bytes),
@@ -1342,217 +1534,225 @@ impl QuicConnection {
                 LONG_OVERHEAD
             };
             if remaining >= overhead + 8 {
-                let mut frames = Vec::new();
+                let start = plan.len();
                 let mut frame_budget = remaining - overhead;
+                // Control frames go in only if they fit; otherwise they
+                // stay queued for the next datagram.
+                let fit = |plan: &mut Vec<SentFrame>, budget: &mut usize, f: SentFrame| {
+                    let len = f.wire_len();
+                    let fits = len <= *budget;
+                    if fits {
+                        *budget -= len;
+                        plan.push(f);
+                    }
+                    fits
+                };
                 if ptype == PacketType::OneRtt {
                     if self.spaces[EPOCH_APP].ack_owed {
-                        let ranges = self.spaces[EPOCH_APP].ack_ranges();
-                        if !ranges.is_empty() {
-                            frames.push(Frame::Ack { ranges, delay: 0 });
+                        if let Some(ack) = self.plan_ack(EPOCH_APP, frame_budget) {
+                            fit(plan, &mut frame_budget, ack);
+                            self.spaces[EPOCH_APP].ack_owed = false;
                         }
-                        self.spaces[EPOCH_APP].ack_owed = false;
                     }
-                    if self.handshake_done_queued {
+                    if self.handshake_done_queued
+                        && fit(plan, &mut frame_budget, SentFrame::HandshakeDone)
+                    {
                         self.handshake_done_queued = false;
-                        frames.push(Frame::HandshakeDone);
                     }
-                    if self.new_token_queued && self.role == Role::Server {
+                    if self.new_token_queued
+                        && self.role == Role::Server
+                        && fit(plan, &mut frame_budget, SentFrame::NewToken)
+                    {
                         self.new_token_queued = false;
-                        frames.push(Frame::NewToken {
-                            token: make_token(self.cfg.tls.server_id, self.remote),
-                        });
                     }
-                    if let Some(data) = self.path_response_queued.take() {
-                        frames.push(Frame::PathResponse(data));
+                    if let Some(data) = self.path_response_queued {
+                        if fit(plan, &mut frame_budget, SentFrame::PathResponse(data)) {
+                            self.path_response_queued = None;
+                        }
                     }
                     if self.path_challenge_queued {
-                        self.path_challenge_queued = false;
                         let data = self.path_challenge_pending.expect("queued implies pending");
-                        frames.push(Frame::PathChallenge(data));
-                        let retry = self.path_probe_retries;
-                        sink::emit(now.as_nanos(), || Event::QuicPathChallenge { retry });
-                        metrics::count(Counter::QuicPathChallenges, 1);
+                        if fit(plan, &mut frame_budget, SentFrame::PathChallenge(data)) {
+                            self.path_challenge_queued = false;
+                            let retry = self.path_probe_retries;
+                            sink::emit(now.as_nanos(), || Event::QuicPathChallenge { retry });
+                            metrics::count(Counter::QuicPathChallenges, 1);
+                        }
                     }
-                    frame_budget = frame_budget
-                        .saturating_sub(frames.iter().map(|f| f.wire_len()).sum::<usize>());
                     // Post-handshake CRYPTO (session tickets).
                     while frame_budget > 8 {
-                        let Some((offset, data)) = self.spaces[EPOCH_APP]
+                        let Some((offset, len)) = self.spaces[EPOCH_APP]
                             .crypto_tx
                             .next_chunk(frame_budget - 8)
                         else {
                             break;
                         };
-                        let f = Frame::Crypto { offset, data };
+                        let f = SentFrame::Crypto { offset, len };
                         frame_budget = frame_budget.saturating_sub(f.wire_len());
-                        frames.push(f);
+                        plan.push(f);
                     }
                 }
-                // Stream data.
-                let ids: Vec<u64> = self.streams.keys().copied().collect();
-                for id in ids {
-                    if frame_budget <= 12 {
+                // Stream data, in stream id order.
+                let mut next_id = 0;
+                while frame_budget > 12 {
+                    let Some((&id, stream)) = self.streams.range_mut(next_id..).next() else {
                         break;
-                    }
-                    loop {
-                        if frame_budget <= 12 {
-                            break;
-                        }
-                        let stream = self.streams.get_mut(&id).expect("listed");
-                        let chunk = stream.send.next_chunk(frame_budget - 12);
-                        match chunk {
-                            Some((offset, data)) => {
-                                let end = offset + data.len() as u64;
+                    };
+                    next_id = id + 1;
+                    while frame_budget > 12 {
+                        match stream.send.next_chunk(frame_budget - 12) {
+                            Some((offset, len)) => {
+                                let end = offset + len as u64;
                                 let fin = stream.fin_queued && end == stream.send.data.len() as u64;
                                 if fin {
-                                    stream.fin_offset = Some(end);
                                     stream.fin_sent = true;
                                 }
-                                let f = Frame::Stream {
+                                let f = SentFrame::Stream {
                                     id,
                                     offset,
-                                    data: data.clone(),
+                                    len,
                                     fin,
                                 };
                                 frame_budget = frame_budget.saturating_sub(f.wire_len());
                                 if ptype == PacketType::ZeroRtt {
-                                    self.early_stream_frames.push((id, offset, data, fin));
+                                    self.early_stream_frames.push((id, offset, len, fin));
                                 }
-                                frames.push(f);
+                                plan.push(f);
                             }
                             None => {
                                 // A bare FIN (no data left to carry it).
-                                let stream = self.streams.get_mut(&id).expect("listed");
                                 if stream.fin_queued && !stream.fin_sent {
-                                    let end = stream.send.data.len() as u64;
-                                    stream.fin_offset = Some(end);
                                     stream.fin_sent = true;
-                                    let f = Frame::Stream {
+                                    let f = SentFrame::Stream {
                                         id,
-                                        offset: end,
-                                        data: Vec::new(),
+                                        offset: stream.send.data.len() as u64,
+                                        len: 0,
                                         fin: true,
                                     };
                                     frame_budget = frame_budget.saturating_sub(f.wire_len());
-                                    frames.push(f);
+                                    plan.push(f);
                                 }
                                 break;
                             }
                         }
                     }
                 }
-                if !frames.is_empty() {
-                    parts.push((ptype, frames));
+                if plan.len() > start {
+                    parts[nparts] = Part {
+                        ptype,
+                        start,
+                        end: plan.len(),
+                        pad: 0,
+                    };
+                    nparts += 1;
                 }
             }
         }
 
-        if parts.is_empty() {
-            return Vec::new();
-        }
         // Datagrams with client Initials, or ack-eliciting Initials
         // from either role, are padded to 1200 bytes (§14.1).
-        if contains_initial && (self.role == Role::Client || initial_ack_eliciting) {
+        if nparts > 0 && contains_initial && (self.role == Role::Client || initial_ack_eliciting) {
             let token_len = self.token.as_ref().map_or(0, |t| t.len());
-            let exact = |ptype: PacketType, payload: usize, token_len: usize| -> usize {
-                match ptype {
-                    PacketType::OneRtt => 1 + CID_LEN + 4 + payload + PACKET_TAG_LEN,
-                    _ => {
-                        let mut n = 1 + 4 + 1 + CID_LEN + 1 + CID_LEN;
-                        if ptype == PacketType::Initial {
-                            n += super::varint::varint_len(token_len as u64) + token_len;
-                        }
-                        let length = 4 + payload + PACKET_TAG_LEN;
-                        n + super::varint::varint_len(length as u64) + length
-                    }
-                }
-            };
-            let size: usize = parts
-                .iter()
-                .map(|(ptype, frames)| {
-                    let tl = if *ptype == PacketType::Initial {
-                        token_len
-                    } else {
-                        0
-                    };
-                    exact(*ptype, frames.iter().map(|f| f.wire_len()).sum(), tl)
-                })
-                .sum();
-            let target = MIN_INITIAL_SIZE.min(budget);
-            if size < target {
-                // Pad inside the Initial packet; adding padding can grow
-                // the length varint, so add then shrink to hit the
-                // target exactly.
-                if let Some((_, frames)) = parts.iter_mut().find(|(t, _)| *t == PacketType::Initial)
-                {
-                    frames.push(Frame::Padding(target - size));
-                }
-                let current: usize = parts
+            let size = |parts: &[Part]| -> usize {
+                parts
                     .iter()
-                    .map(|(ptype, frames)| {
-                        let tl = if *ptype == PacketType::Initial {
+                    .map(|p| {
+                        let tl = if p.ptype == PacketType::Initial {
                             token_len
                         } else {
                             0
                         };
-                        exact(*ptype, frames.iter().map(|f| f.wire_len()).sum(), tl)
+                        packet_len(p.ptype, tl, frames_len(&plan[p.start..p.end]) + p.pad)
                     })
-                    .sum();
+                    .sum()
+            };
+            let target = MIN_INITIAL_SIZE.min(budget);
+            let unpadded = size(&parts[..nparts]);
+            if unpadded < target {
+                // Pad at the end of the Initial packet; adding padding
+                // can grow the length varint, so add then shrink to hit
+                // the target exactly.
+                let initial = parts[..nparts]
+                    .iter()
+                    .position(|p| p.ptype == PacketType::Initial)
+                    .expect("contains an Initial");
+                parts[initial].pad = target - unpadded;
+                let current = size(&parts[..nparts]);
                 if current > target {
-                    if let Some((_, frames)) =
-                        parts.iter_mut().find(|(t, _)| *t == PacketType::Initial)
-                    {
-                        if let Some(Frame::Padding(n)) = frames.last_mut() {
-                            *n = n.saturating_sub(current - target);
-                        }
-                    }
+                    parts[initial].pad = parts[initial].pad.saturating_sub(current - target);
                 }
             }
         }
-        let mut out = Vec::new();
-        for (ptype, frames) in parts {
-            self.encode_packet_tracked(now, ptype, frames, &mut out);
+        nparts
+    }
+
+    /// Encode planned packets into one datagram buffer allocated at
+    /// its exact size. It joins simnet's payload pool when the packet is
+    /// dropped; it is not drawn from the pool, because growing pooled
+    /// buffers (mostly small DNS messages and TCP segments) to datagram
+    /// size would leave the pool holding thousands of them per thread.
+    fn encode_datagram(&mut self, now: SimTime, parts: &[Part], plan: &[SentFrame]) -> PayloadBuf {
+        let token_len = self.token.as_ref().map_or(0, |t| t.len());
+        let payload_len = |p: &Part| {
+            plan[p.start..p.end]
+                .iter()
+                .map(SentFrame::wire_len)
+                .sum::<usize>()
+                + p.pad
+        };
+        let total: usize = parts
+            .iter()
+            .map(|p| {
+                let tl = if p.ptype == PacketType::Initial {
+                    token_len
+                } else {
+                    0
+                };
+                packet_len(p.ptype, tl, payload_len(p))
+            })
+            .sum();
+        let mut out = PayloadBuf::from(Vec::with_capacity(total));
+        for p in parts {
+            self.encode_packet(now, &mut out, p, &plan[p.start..p.end], payload_len(p));
         }
+        debug_assert_eq!(out.len(), total);
         out
     }
 
-    fn encode_packet(&mut self, ptype: PacketType, frames: Vec<Frame>, out: &mut Vec<u8>) {
-        let epoch = match ptype {
-            PacketType::Initial => EPOCH_INITIAL,
-            PacketType::Handshake => EPOCH_HANDSHAKE,
-            _ => EPOCH_APP,
-        };
-        let pn = self.spaces[epoch].next_pn;
-        self.spaces[epoch].next_pn += 1;
-        let mut payload = Vec::new();
-        for f in &frames {
-            f.encode(&mut payload);
-        }
-        let mut pkt = Packet::new(ptype, self.version, self.dcid, self.scid, pn, payload);
-        if ptype == PacketType::Initial {
-            if let Some(token) = &self.token {
-                pkt.token = token.clone();
-            }
-        }
-        pkt.encode(out);
-    }
-
-    fn encode_packet_tracked(
+    /// Write one packet — header, frames, padding, tag — and track it
+    /// for loss recovery if it elicits an ACK.
+    fn encode_packet(
         &mut self,
         now: SimTime,
-        ptype: PacketType,
-        frames: Vec<Frame>,
         out: &mut Vec<u8>,
+        part: &Part,
+        frames: &[SentFrame],
+        payload_len: usize,
     ) {
-        let epoch = match ptype {
-            PacketType::Initial => EPOCH_INITIAL,
-            PacketType::Handshake => EPOCH_HANDSHAKE,
-            _ => EPOCH_APP,
-        };
+        let ptype = part.ptype;
+        let epoch = epoch_of(ptype);
         let pn = self.spaces[epoch].next_pn;
-        let ack_eliciting = frames.iter().any(|f| f.is_ack_eliciting());
+        self.spaces[epoch].next_pn += 1;
         let before = out.len();
-        self.encode_packet(ptype, frames.clone(), out);
+        let token = match (&self.token, ptype) {
+            (Some(token), PacketType::Initial) => &token[..],
+            _ => &[],
+        };
+        write_header(
+            out,
+            ptype,
+            self.version,
+            &self.dcid,
+            &self.scid,
+            token,
+            pn,
+            payload_len,
+        );
+        for f in frames {
+            self.write_frame(out, epoch, f);
+        }
+        out.put_zeros(part.pad);
+        write_tag(out);
         let size = out.len() - before;
         sink::emit(now.as_nanos(), || Event::QuicPacketSent {
             ptype: ptype_str(ptype),
@@ -1560,13 +1760,16 @@ impl QuicConnection {
             size,
         });
         metrics::count(Counter::QuicPacketsSent, 1);
+        let ack_eliciting = frames.iter().any(SentFrame::is_ack_eliciting);
         if ack_eliciting {
+            let mut kept = self.frame_lists.pop().unwrap_or_default();
+            kept.extend_from_slice(frames);
             self.spaces[epoch].sent.insert(
                 pn,
                 SentPacket {
                     time: now,
                     ack_eliciting,
-                    frames,
+                    frames: kept,
                 },
             );
             if self.pto_deadline.is_none() {
@@ -1574,23 +1777,57 @@ impl QuicConnection {
             }
         }
     }
+
+    /// Encode one planned frame; CRYPTO and STREAM data come from the
+    /// send buffers.
+    fn write_frame(&self, out: &mut Vec<u8>, epoch: usize, f: &SentFrame) {
+        match *f {
+            SentFrame::Ping => write_ping(out),
+            SentFrame::Ack { ranges, .. } => {
+                write_ack(out, 0, ranges, self.spaces[epoch].received.iter_desc())
+            }
+            SentFrame::Crypto { offset, len } => {
+                write_crypto_header(out, offset, len);
+                out.extend_from_slice(self.spaces[epoch].crypto_tx.slice(offset, len));
+            }
+            SentFrame::NewToken => {
+                write_new_token(out, &token_bytes(self.cfg.tls.server_id, self.remote))
+            }
+            SentFrame::Stream {
+                id,
+                offset,
+                len,
+                fin,
+            } => {
+                write_stream_header(out, id, offset, len, fin);
+                let stream = self.streams.get(&id).expect("planned from this stream");
+                out.extend_from_slice(stream.send.slice(offset, len));
+            }
+            SentFrame::PathChallenge(data) => write_path_challenge(out, &data),
+            SentFrame::PathResponse(data) => write_path_response(out, &data),
+            SentFrame::ConnectionClose { error_code } => {
+                write_connection_close(out, error_code, &[])
+            }
+            SentFrame::HandshakeDone => write_handshake_done(out),
+        }
+    }
 }
 
-/// Construct an address-validation token bound to a server identity and
-/// client IP.
-pub fn make_token(server_id: u64, client: SocketAddr) -> Vec<u8> {
-    let mut t = vec![0x54, 0x4F, 0x4B, 0x31]; // "TOK1"
-    t.extend_from_slice(&server_id.to_be_bytes());
-    t.extend_from_slice(&client.ip.0.to_be_bytes());
-    t.extend_from_slice(&[0u8; 16]); // modelled integrity tag
+/// Length of an address-validation token.
+const TOKEN_LEN: usize = 32;
+
+/// An address-validation token bound to a server identity and client
+/// IP.
+fn token_bytes(server_id: u64, client: SocketAddr) -> [u8; TOKEN_LEN] {
+    let mut t = [0u8; TOKEN_LEN]; // the last 16 bytes: modelled integrity tag
+    t[0..4].copy_from_slice(&[0x54, 0x4F, 0x4B, 0x31]); // "TOK1"
+    t[4..12].copy_from_slice(&server_id.to_be_bytes());
+    t[12..16].copy_from_slice(&client.ip.0.to_be_bytes());
     t
 }
 
 fn token_valid(token: &[u8], server_id: u64, client: SocketAddr) -> bool {
-    token.len() == 32
-        && token[0..4] == [0x54, 0x4F, 0x4B, 0x31]
-        && token[4..12] == server_id.to_be_bytes()
-        && token[12..16] == client.ip.0.to_be_bytes()
+    token.len() == TOKEN_LEN && token[..16] == token_bytes(server_id, client)[..16]
 }
 
 /// A QUIC server endpoint: demultiplexes datagrams by source address,
@@ -1599,16 +1836,17 @@ fn token_valid(token: &[u8], server_id: u64, client: SocketAddr) -> bool {
 /// address validation.
 #[derive(Debug)]
 pub struct QuicServer {
-    cfg: QuicConfig,
+    /// Shared with every accepted connection.
+    cfg: Arc<QuicConfig>,
     pub local: SocketAddr,
     conns: BTreeMap<SocketAddr, QuicConnection>,
 }
 
 impl QuicServer {
-    pub fn new(local: SocketAddr, cfg: QuicConfig) -> Self {
+    pub fn new(local: SocketAddr, cfg: impl Into<Arc<QuicConfig>>) -> Self {
         QuicServer {
             local,
-            cfg,
+            cfg: cfg.into(),
             conns: BTreeMap::new(),
         }
     }
@@ -1636,7 +1874,7 @@ impl QuicServer {
             // Version Negotiation — stateless, no connection created.
             // This is also the response to the paper's version-0 probe.
             let mut pos = 0;
-            let (dcid, scid) = match Packet::decode(data, &mut pos) {
+            let (dcid, scid) = match PacketRef::decode(data, &mut pos) {
                 Some(p) => (p.dcid, p.scid),
                 None => ([0u8; CID_LEN], [0u8; CID_LEN]),
             };
@@ -1648,13 +1886,13 @@ impl QuicServer {
             return vec![(src, vn.encode())];
         }
         let mut pos = 0;
-        let Some(pkt) = Packet::decode(data, &mut pos) else {
+        let Some(pkt) = PacketRef::decode(data, &mut pos) else {
             return Vec::new();
         };
         if pkt.ptype != PacketType::Initial {
             return Vec::new();
         }
-        let has_valid_token = token_valid(&pkt.token, self.cfg.tls.server_id, src);
+        let has_valid_token = token_valid(pkt.token, self.cfg.tls.server_id, src);
         if self.cfg.retry_required && !has_valid_token {
             let mut retry = Packet::new(
                 PacketType::Retry,
@@ -1664,13 +1902,13 @@ impl QuicServer {
                 0,
                 Vec::new(),
             );
-            retry.token = make_token(self.cfg.tls.server_id, src);
+            retry.token = token_bytes(self.cfg.tls.server_id, src).to_vec();
             let mut out = Vec::new();
             retry.encode(&mut out);
             return vec![(src, out)];
         }
         let mut conn = QuicConnection::server(
-            self.cfg.clone(),
+            Arc::clone(&self.cfg),
             self.local,
             src,
             version,
@@ -1719,12 +1957,20 @@ impl QuicServer {
     /// Poll every connection for outbound datagrams.
     pub fn poll_transmit(&mut self, now: SimTime) -> Vec<(SocketAddr, Vec<u8>)> {
         let mut out = Vec::new();
-        for (peer, conn) in self.conns.iter_mut() {
-            for dgram in conn.poll_transmit(now) {
-                out.push((*peer, dgram));
-            }
-        }
+        self.poll_transmit_with(now, |peer, dgram| out.push((peer, dgram.into_vec())));
         out
+    }
+
+    /// Poll every connection, handing each datagram and its peer to
+    /// `emit` in a pooled buffer.
+    pub fn poll_transmit_with(
+        &mut self,
+        now: SimTime,
+        mut emit: impl FnMut(SocketAddr, PayloadBuf),
+    ) {
+        for (&peer, conn) in self.conns.iter_mut() {
+            conn.poll_transmit_with(now, |dgram| emit(peer, dgram));
+        }
     }
 
     pub fn next_timeout(&self) -> Option<SimTime> {

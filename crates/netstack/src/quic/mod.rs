@@ -26,6 +26,7 @@
 mod connection;
 mod frame;
 mod packet;
+mod range_set;
 mod varint;
 
 pub use connection::{QuicConfig, QuicConnection, QuicError, QuicServer};

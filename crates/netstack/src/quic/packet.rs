@@ -3,7 +3,7 @@
 //! Version Negotiation packet — including its use as the stateless
 //! response to the version-0 probe the paper's scanner sends.
 
-use super::varint::{read_varint, write_varint};
+use super::varint::{read_varint, varint_len, write_varint};
 use super::PACKET_TAG_LEN;
 
 /// Connection IDs are fixed at 8 bytes in this implementation.
@@ -34,6 +34,98 @@ pub struct Packet {
     pub payload: Vec<u8>,
 }
 
+/// A packet borrowed from a received datagram: the token and the frame
+/// bytes point into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PacketRef<'a> {
+    pub ptype: PacketType,
+    pub version: u32,
+    pub dcid: [u8; CID_LEN],
+    pub scid: [u8; CID_LEN],
+    pub token: &'a [u8],
+    pub packet_number: u64,
+    pub payload: &'a [u8],
+}
+
+fn type_bits(ptype: PacketType) -> u8 {
+    match ptype {
+        PacketType::Initial => 0,
+        PacketType::ZeroRtt => 1,
+        PacketType::Handshake => 2,
+        PacketType::Retry => 3,
+        PacketType::OneRtt => unreachable!("short header"),
+    }
+}
+
+/// Long header fields up to the destination and source CIDs.
+fn write_long_prefix(
+    out: &mut Vec<u8>,
+    ptype: PacketType,
+    version: u32,
+    dcid: &[u8; CID_LEN],
+    scid: &[u8; CID_LEN],
+) {
+    out.push(0xC0 | (type_bits(ptype) << 4));
+    out.extend_from_slice(&version.to_be_bytes());
+    out.push(CID_LEN as u8);
+    out.extend_from_slice(dcid);
+    out.push(CID_LEN as u8);
+    out.extend_from_slice(scid);
+}
+
+/// Write the header of a protected (non-Retry) packet whose frames
+/// take `payload_len` bytes; the frames and then [`write_tag`] follow.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn write_header(
+    out: &mut Vec<u8>,
+    ptype: PacketType,
+    version: u32,
+    dcid: &[u8; CID_LEN],
+    scid: &[u8; CID_LEN],
+    token: &[u8],
+    packet_number: u64,
+    payload_len: usize,
+) {
+    debug_assert!(ptype != PacketType::Retry, "Retry has no payload");
+    if ptype == PacketType::OneRtt {
+        out.push(0x40); // short header: form=0, fixed=1
+        out.extend_from_slice(dcid);
+    } else {
+        write_long_prefix(out, ptype, version, dcid, scid);
+        if ptype == PacketType::Initial {
+            write_varint(out, token.len() as u64);
+            out.extend_from_slice(token);
+        }
+        // Length covers packet number (4 bytes) + payload + tag.
+        write_varint(out, (4 + payload_len + PACKET_TAG_LEN) as u64);
+    }
+    out.extend_from_slice(&(packet_number as u32).to_be_bytes());
+}
+
+/// The modelled AEAD tag that ends every protected packet.
+pub(crate) fn write_tag(out: &mut Vec<u8>) {
+    out.resize(out.len() + PACKET_TAG_LEN, 0);
+}
+
+/// Wire size of a packet of type `ptype` carrying `payload_len` frame
+/// bytes (a Retry carries the `token_len`-byte token instead).
+pub(crate) fn packet_len(ptype: PacketType, token_len: usize, payload_len: usize) -> usize {
+    const LONG_PREFIX: usize = 1 + 4 + 1 + CID_LEN + 1 + CID_LEN;
+    match ptype {
+        PacketType::OneRtt => 1 + CID_LEN + 4 + payload_len + PACKET_TAG_LEN,
+        PacketType::Retry => LONG_PREFIX + token_len + PACKET_TAG_LEN,
+        _ => {
+            let token = if ptype == PacketType::Initial {
+                varint_len(token_len as u64) + token_len
+            } else {
+                0
+            };
+            let length = 4 + payload_len + PACKET_TAG_LEN;
+            LONG_PREFIX + token + varint_len(length as u64) + length
+        }
+    }
+}
+
 impl Packet {
     pub fn new(
         ptype: PacketType,
@@ -54,160 +146,45 @@ impl Packet {
         }
     }
 
-    fn type_bits(ptype: PacketType) -> u8 {
-        match ptype {
-            PacketType::Initial => 0,
-            PacketType::ZeroRtt => 1,
-            PacketType::Handshake => 2,
-            PacketType::Retry => 3,
-            PacketType::OneRtt => unreachable!("short header"),
-        }
-    }
-
     /// Size this packet will occupy on the wire.
     pub fn wire_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
+        packet_len(self.ptype, self.token.len(), self.payload.len())
     }
 
     /// Append the encoded packet.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        match self.ptype {
-            PacketType::OneRtt => {
-                out.push(0x40); // short header: form=0, fixed=1
-                out.extend_from_slice(&self.dcid);
-                out.extend_from_slice(&(self.packet_number as u32).to_be_bytes());
-                out.extend_from_slice(&self.payload);
-                out.extend(std::iter::repeat_n(0u8, PACKET_TAG_LEN));
-            }
-            ptype => {
-                out.push(0xC0 | (Self::type_bits(ptype) << 4));
-                out.extend_from_slice(&self.version.to_be_bytes());
-                out.push(CID_LEN as u8);
-                out.extend_from_slice(&self.dcid);
-                out.push(CID_LEN as u8);
-                out.extend_from_slice(&self.scid);
-                if ptype == PacketType::Initial {
-                    write_varint(out, self.token.len() as u64);
-                    out.extend_from_slice(&self.token);
-                }
-                if ptype == PacketType::Retry {
-                    // Retry: token runs to the end (plus integrity tag).
-                    out.extend_from_slice(&self.token);
-                    out.extend(std::iter::repeat_n(0u8, PACKET_TAG_LEN));
-                    return;
-                }
-                // Length covers packet number (4 bytes) + payload + tag.
-                write_varint(out, 4 + self.payload.len() as u64 + PACKET_TAG_LEN as u64);
-                out.extend_from_slice(&(self.packet_number as u32).to_be_bytes());
-                out.extend_from_slice(&self.payload);
-                out.extend(std::iter::repeat_n(0u8, PACKET_TAG_LEN));
-            }
+        out.reserve(self.wire_len());
+        if self.ptype == PacketType::Retry {
+            // Retry: token runs to the end (plus integrity tag).
+            write_long_prefix(out, self.ptype, self.version, &self.dcid, &self.scid);
+            out.extend_from_slice(&self.token);
+        } else {
+            write_header(
+                out,
+                self.ptype,
+                self.version,
+                &self.dcid,
+                &self.scid,
+                &self.token,
+                self.packet_number,
+                self.payload.len(),
+            );
+            out.extend_from_slice(&self.payload);
         }
+        write_tag(out);
     }
 
     /// Parse the packet at `buf[*pos..]`, advancing `pos` past it.
     /// Short-header packets consume the rest of the datagram.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Option<Packet> {
-        let first = *buf.get(*pos)?;
-        if first & 0x80 == 0 {
-            // Short header.
-            *pos += 1;
-            if *pos + CID_LEN + 4 > buf.len() {
-                return None;
-            }
-            let mut dcid = [0u8; CID_LEN];
-            dcid.copy_from_slice(&buf[*pos..*pos + CID_LEN]);
-            *pos += CID_LEN;
-            let pn = u32::from_be_bytes(buf[*pos..*pos + 4].try_into().ok()?) as u64;
-            *pos += 4;
-            let rest = &buf[*pos..];
-            if rest.len() < PACKET_TAG_LEN {
-                return None;
-            }
-            let payload = rest[..rest.len() - PACKET_TAG_LEN].to_vec();
-            *pos = buf.len();
-            return Some(Packet {
-                ptype: PacketType::OneRtt,
-                version: 0,
-                dcid,
-                scid: [0; CID_LEN],
-                token: Vec::new(),
-                packet_number: pn,
-                payload,
-            });
-        }
-        // Long header.
-        *pos += 1;
-        if *pos + 4 > buf.len() {
-            return None;
-        }
-        let version = u32::from_be_bytes(buf[*pos..*pos + 4].try_into().ok()?);
-        *pos += 4;
-        let dcid_len = *buf.get(*pos)? as usize;
-        *pos += 1;
-        if dcid_len != CID_LEN || *pos + CID_LEN > buf.len() {
-            return None;
-        }
-        let mut dcid = [0u8; CID_LEN];
-        dcid.copy_from_slice(&buf[*pos..*pos + CID_LEN]);
-        *pos += CID_LEN;
-        let scid_len = *buf.get(*pos)? as usize;
-        *pos += 1;
-        if scid_len != CID_LEN || *pos + CID_LEN > buf.len() {
-            return None;
-        }
-        let mut scid = [0u8; CID_LEN];
-        scid.copy_from_slice(&buf[*pos..*pos + CID_LEN]);
-        *pos += CID_LEN;
-        let ptype = match (first >> 4) & 0x03 {
-            0 => PacketType::Initial,
-            1 => PacketType::ZeroRtt,
-            2 => PacketType::Handshake,
-            _ => PacketType::Retry,
-        };
-        let mut token = Vec::new();
-        if ptype == PacketType::Initial {
-            let tlen = read_varint(buf, pos)? as usize;
-            if *pos + tlen > buf.len() {
-                return None;
-            }
-            token = buf[*pos..*pos + tlen].to_vec();
-            *pos += tlen;
-        }
-        if ptype == PacketType::Retry {
-            let rest = &buf[*pos..];
-            if rest.len() < PACKET_TAG_LEN {
-                return None;
-            }
-            let token = rest[..rest.len() - PACKET_TAG_LEN].to_vec();
-            *pos = buf.len();
-            return Some(Packet {
-                ptype,
-                version,
-                dcid,
-                scid,
-                token,
-                packet_number: 0,
-                payload: Vec::new(),
-            });
-        }
-        let length = read_varint(buf, pos)? as usize;
-        if length < 4 + PACKET_TAG_LEN || *pos + length > buf.len() {
-            return None;
-        }
-        let pn = u32::from_be_bytes(buf[*pos..*pos + 4].try_into().ok()?) as u64;
-        let payload = buf[*pos + 4..*pos + length - PACKET_TAG_LEN].to_vec();
-        *pos += length;
-        Some(Packet {
-            ptype,
-            version,
-            dcid,
-            scid,
-            token,
-            packet_number: pn,
-            payload,
+        PacketRef::decode(buf, pos).map(|p| Packet {
+            ptype: p.ptype,
+            version: p.version,
+            dcid: p.dcid,
+            scid: p.scid,
+            token: p.token.to_vec(),
+            packet_number: p.packet_number,
+            payload: p.payload.to_vec(),
         })
     }
 
@@ -218,6 +195,100 @@ impl Packet {
             return None;
         }
         Some(u32::from_be_bytes(buf[1..5].try_into().ok()?))
+    }
+}
+
+/// `len` bytes at `buf[*pos..]`, advancing `pos`.
+fn take<'a>(buf: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let end = pos.checked_add(len)?;
+    let s = buf.get(*pos..end)?;
+    *pos = end;
+    Some(s)
+}
+
+fn take_cid(buf: &[u8], pos: &mut usize) -> Option<[u8; CID_LEN]> {
+    take(buf, pos, CID_LEN)?.try_into().ok()
+}
+
+fn take_pn(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    let pn: [u8; 4] = take(buf, pos, 4)?.try_into().ok()?;
+    Some(u32::from_be_bytes(pn) as u64)
+}
+
+impl<'a> PacketRef<'a> {
+    /// Parse the packet at `buf[*pos..]`, advancing `pos` past it.
+    /// Short-header packets consume the rest of the datagram.
+    pub fn decode(buf: &'a [u8], pos: &mut usize) -> Option<PacketRef<'a>> {
+        let first = *buf.get(*pos)?;
+        *pos += 1;
+        if first & 0x80 == 0 {
+            // Short header.
+            let dcid = take_cid(buf, pos)?;
+            let packet_number = take_pn(buf, pos)?;
+            let rest = buf.len() - *pos;
+            let payload = take(buf, pos, rest.checked_sub(PACKET_TAG_LEN)?)?;
+            *pos = buf.len();
+            return Some(PacketRef {
+                ptype: PacketType::OneRtt,
+                version: 0,
+                dcid,
+                scid: [0; CID_LEN],
+                token: &[],
+                packet_number,
+                payload,
+            });
+        }
+        // Long header.
+        let version = u32::from_be_bytes(take(buf, pos, 4)?.try_into().ok()?);
+        if *take(buf, pos, 1)?.first()? as usize != CID_LEN {
+            return None;
+        }
+        let dcid = take_cid(buf, pos)?;
+        if *take(buf, pos, 1)?.first()? as usize != CID_LEN {
+            return None;
+        }
+        let scid = take_cid(buf, pos)?;
+        let ptype = match (first >> 4) & 0x03 {
+            0 => PacketType::Initial,
+            1 => PacketType::ZeroRtt,
+            2 => PacketType::Handshake,
+            _ => PacketType::Retry,
+        };
+        let mut token: &[u8] = &[];
+        if ptype == PacketType::Initial {
+            let tlen = usize::try_from(read_varint(buf, pos)?).ok()?;
+            token = take(buf, pos, tlen)?;
+        }
+        if ptype == PacketType::Retry {
+            let rest = buf.len() - *pos;
+            let token = take(buf, pos, rest.checked_sub(PACKET_TAG_LEN)?)?;
+            *pos = buf.len();
+            return Some(PacketRef {
+                ptype,
+                version,
+                dcid,
+                scid,
+                token,
+                packet_number: 0,
+                payload: &[],
+            });
+        }
+        let length = usize::try_from(read_varint(buf, pos)?).ok()?;
+        if length < 4 + PACKET_TAG_LEN {
+            return None;
+        }
+        let body = take(buf, pos, length)?;
+        let mut at = 0;
+        let packet_number = take_pn(body, &mut at)?;
+        Some(PacketRef {
+            ptype,
+            version,
+            dcid,
+            scid,
+            token,
+            packet_number,
+            payload: &body[4..length - PACKET_TAG_LEN],
+        })
     }
 }
 

@@ -3,8 +3,11 @@
 //! Transport-agnostic: callers feed received bytes with `read_wire` and
 //! drain bytes to transmit with `take_output`. Over TCP the bytes are
 //! written into a [`crate::tcp::TcpSocket`]; QUIC instead embeds the
-//! handshake *messages* (not records) in CRYPTO frames via
-//! [`crate::tls::messages::HandshakeReader`].
+//! handshake *messages* (not records) in CRYPTO frames.
+//!
+//! Records and handshake messages are decoded by borrowing from the
+//! received bytes (only an incomplete tail is buffered) and encoded
+//! straight into the output buffer.
 //!
 //! Flights implemented:
 //!
@@ -21,14 +24,17 @@
 //! like every resolver the paper measured).
 
 use crate::tls::messages::{
-    HandshakeMessage, HandshakePayload, HandshakeReader, TlsRecord, TlsVersion,
+    reassemble, write_app_data, write_handshake_record, Alpns, HandshakeRef, RecordRef, TlsVersion,
+    Versions, CT_APPLICATION_DATA, CT_HANDSHAKE,
 };
-use crate::tls::session::SessionTicket;
+use crate::tls::session::{SessionTicket, SessionTicketRef};
 use doqlab_simnet::{Duration, SimTime};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
+use std::sync::Arc;
 
-/// Shared client/server configuration.
+/// Shared client/server configuration. Endpoints hold it behind an
+/// `Arc`, so one configuration serves every connection of an endpoint.
 #[derive(Debug, Clone)]
 pub struct TlsConfig {
     /// Server identity for ticket validation (servers only).
@@ -83,6 +89,11 @@ impl std::fmt::Display for TlsError {
 
 impl std::error::Error for TlsError {}
 
+/// Append a fatal alert record.
+fn write_alert(out: &mut Vec<u8>, code: u8) {
+    RecordRef::Alert { fatal: true, code }.encode(out);
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClientState {
     Start,
@@ -100,11 +111,13 @@ enum ClientState {
 /// Client endpoint.
 #[derive(Debug)]
 pub struct TlsClient {
-    cfg: TlsConfig,
+    cfg: Arc<TlsConfig>,
     state: ClientState,
     ticket: Option<SessionTicket>,
     out: Vec<u8>,
-    hs_in: HandshakeReader,
+    /// Incomplete handshake message carried over between records.
+    hs_in: Vec<u8>,
+    /// Incomplete record carried over between reads.
     rec_buf: Vec<u8>,
     app_rx: Vec<u8>,
     app_tx_pending: Vec<u8>,
@@ -122,13 +135,13 @@ pub struct TlsClient {
 }
 
 impl TlsClient {
-    pub fn new(cfg: TlsConfig, ticket: Option<SessionTicket>) -> Self {
+    pub fn new(cfg: impl Into<Arc<TlsConfig>>, ticket: Option<SessionTicket>) -> Self {
         TlsClient {
-            cfg,
+            cfg: cfg.into(),
             state: ClientState::Start,
             ticket,
             out: Vec::new(),
-            hs_in: HandshakeReader::new(),
+            hs_in: Vec::new(),
             rec_buf: Vec::new(),
             app_rx: Vec::new(),
             app_tx_pending: Vec::new(),
@@ -146,44 +159,32 @@ impl TlsClient {
         }
     }
 
-    fn send_handshake(&mut self, plaintext_epoch: bool, payload: HandshakePayload) {
-        let mut body = Vec::new();
-        HandshakeMessage::new(payload).encode(&mut body);
-        let rec = if plaintext_epoch {
-            TlsRecord::PlainHandshake(body)
-        } else {
-            TlsRecord::encrypted_handshake(body)
-        };
-        rec.encode(&mut self.out);
-    }
-
     /// Begin the handshake: emits the ClientHello (plus 0-RTT data if
     /// queued, permitted, and the ticket allows it).
     pub fn start(&mut self, now: SimTime) {
         assert_eq!(self.state, ClientState::Start, "start() twice");
         let psk = self
             .ticket
-            .clone()
+            .as_ref()
             .filter(|t| t.is_valid_at(now) && self.cfg.versions.contains(&t.version));
         let early_data = self.cfg.enable_0rtt
-            && psk.as_ref().is_some_and(|t| t.allows_early_data)
+            && psk.is_some_and(|t| t.allows_early_data)
             && !self.app_tx_pending.is_empty();
         self.attempted_early = early_data;
-        self.send_handshake(
+        write_handshake_record(
+            &mut self.out,
             true,
-            HandshakePayload::ClientHello {
-                versions: self.cfg.versions.clone(),
-                alpn: self.cfg.alpn.clone(),
-                psk,
+            HandshakeRef::ClientHello {
+                versions: Versions::List(&self.cfg.versions),
+                alpn: Alpns::List(&self.cfg.alpn),
+                psk: psk.map(SessionTicket::view),
                 early_data,
                 pad: self.cfg.extra_client_hello_pad,
             },
         );
         if early_data {
             let data = std::mem::take(&mut self.app_tx_pending);
-            for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-                TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-            }
+            write_app_data(&mut self.out, &data);
             self.early_sent = data;
         }
         let flight_len = self.out.len();
@@ -199,51 +200,50 @@ impl TlsClient {
         if self.state == ClientState::Failed {
             return;
         }
-        self.rec_buf.extend_from_slice(data);
-        while let Some((rec, used)) = TlsRecord::decode(&self.rec_buf) {
-            self.rec_buf.drain(..used);
+        let mut pending = std::mem::take(&mut self.rec_buf);
+        reassemble(&mut pending, data, |rest| {
+            let (rec, used) = RecordRef::decode(rest)?;
             self.on_record(now, rec);
-            if self.state == ClientState::Failed {
-                return;
-            }
-        }
+            (self.state != ClientState::Failed).then_some(used)
+        });
+        self.rec_buf = pending;
     }
 
-    fn on_record(&mut self, now: SimTime, rec: TlsRecord) {
+    fn on_record(&mut self, now: SimTime, rec: RecordRef<'_>) {
         match rec {
-            TlsRecord::Alert { fatal, code } => {
+            RecordRef::Alert { fatal, code } => {
                 if fatal {
                     self.error.get_or_insert(TlsError::PeerAlert(code));
                     self.state = ClientState::Failed;
                 }
             }
-            TlsRecord::ChangeCipherSpec => {}
-            TlsRecord::PlainHandshake(bytes)
-            | TlsRecord::Encrypted {
-                inner_type: 22,
+            RecordRef::ChangeCipherSpec => {}
+            RecordRef::PlainHandshake(bytes)
+            | RecordRef::Encrypted {
+                inner_type: CT_HANDSHAKE,
                 plaintext: bytes,
             } => {
-                self.hs_in.push(&bytes);
-                while let Some(msg) = self.hs_in.next_message() {
+                let mut pending = std::mem::take(&mut self.hs_in);
+                reassemble(&mut pending, bytes, |rest| {
+                    let (msg, used) = HandshakeRef::decode(rest)?;
                     self.on_handshake(now, msg);
-                    if self.state == ClientState::Failed {
-                        return;
-                    }
-                }
+                    (self.state != ClientState::Failed).then_some(used)
+                });
+                self.hs_in = pending;
             }
-            TlsRecord::Encrypted {
-                inner_type: 23,
+            RecordRef::Encrypted {
+                inner_type: CT_APPLICATION_DATA,
                 plaintext,
             } => {
-                self.app_rx.extend_from_slice(&plaintext);
+                self.app_rx.extend_from_slice(plaintext);
             }
-            TlsRecord::Encrypted { .. } => {}
+            RecordRef::Encrypted { .. } => {}
         }
     }
 
-    fn on_handshake(&mut self, now: SimTime, msg: HandshakeMessage) {
-        match (self.state, msg.payload) {
-            (ClientState::WaitServerHello, HandshakePayload::ServerHello { version, resumed }) => {
+    fn on_handshake(&mut self, now: SimTime, msg: HandshakeRef<'_>) {
+        match (self.state, msg) {
+            (ClientState::WaitServerHello, HandshakeRef::ServerHello { version, resumed }) => {
                 self.version = Some(version);
                 match version {
                     TlsVersion::Tls13 => {
@@ -277,12 +277,12 @@ impl TlsClient {
             }
             (
                 ClientState::WaitServerFlight13,
-                HandshakePayload::EncryptedExtensions {
+                HandshakeRef::EncryptedExtensions {
                     alpn,
                     early_data_accepted,
                 },
             ) => {
-                self.alpn = alpn;
+                self.alpn = alpn.map(<[u8]>::to_vec);
                 self.seen_ee = true;
                 if self.attempted_early {
                     self.early_accepted = Some(early_data_accepted);
@@ -304,14 +304,14 @@ impl TlsClient {
                     }
                 }
             }
-            (ClientState::WaitServerFlight13, HandshakePayload::Certificate { .. })
-            | (ClientState::WaitServerFlight13, HandshakePayload::CertificateVerify) => {}
-            (ClientState::WaitServerFlight13, HandshakePayload::Finished) => {
+            (ClientState::WaitServerFlight13, HandshakeRef::Certificate { .. })
+            | (ClientState::WaitServerFlight13, HandshakeRef::CertificateVerify) => {}
+            (ClientState::WaitServerFlight13, HandshakeRef::Finished) => {
                 if !self.seen_ee {
                     return self.fail(TlsError::UnexpectedMessage("Finished before EE"));
                 }
                 let before = self.out.len();
-                self.send_handshake(false, HandshakePayload::Finished);
+                write_handshake_record(&mut self.out, false, HandshakeRef::Finished);
                 let flight_len = self.out.len() - before;
                 sink::emit(now.as_nanos(), || Event::TlsFlightSent {
                     flight: "finished",
@@ -319,23 +319,23 @@ impl TlsClient {
                 });
                 self.complete(now);
             }
-            (ClientState::WaitServerFlight12, HandshakePayload::Certificate { .. }) => {}
-            (ClientState::WaitServerFlight12, HandshakePayload::ServerHelloDone) => {
-                self.send_handshake(true, HandshakePayload::ClientKeyExchange);
-                TlsRecord::ChangeCipherSpec.encode(&mut self.out);
-                self.send_handshake(false, HandshakePayload::Finished);
+            (ClientState::WaitServerFlight12, HandshakeRef::Certificate { .. }) => {}
+            (ClientState::WaitServerFlight12, HandshakeRef::ServerHelloDone) => {
+                write_handshake_record(&mut self.out, true, HandshakeRef::ClientKeyExchange);
+                RecordRef::ChangeCipherSpec.encode(&mut self.out);
+                write_handshake_record(&mut self.out, false, HandshakeRef::Finished);
                 self.state = ClientState::WaitServerFinished12;
             }
-            (ClientState::WaitServerFinished12, HandshakePayload::Finished) => {
+            (ClientState::WaitServerFinished12, HandshakeRef::Finished) => {
                 if self.resumed_12 {
                     // Abbreviated: the client's CCS+Finished go second.
-                    TlsRecord::ChangeCipherSpec.encode(&mut self.out);
-                    self.send_handshake(false, HandshakePayload::Finished);
+                    RecordRef::ChangeCipherSpec.encode(&mut self.out);
+                    write_handshake_record(&mut self.out, false, HandshakeRef::Finished);
                 }
                 self.complete(now);
             }
-            (_, HandshakePayload::NewSessionTicket { ticket }) => {
-                self.tickets.push(ticket);
+            (_, HandshakeRef::NewSessionTicket { ticket }) => {
+                self.tickets.push(ticket.to_owned());
             }
             (_, _other) => self.fail(TlsError::UnexpectedMessage("client state machine")),
         }
@@ -350,20 +350,12 @@ impl TlsClient {
         if resumed {
             metrics::count(Counter::TlsResumedHandshakes, 1);
         }
-        if !self.app_tx_pending.is_empty() {
-            let data = std::mem::take(&mut self.app_tx_pending);
-            for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-                TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-            }
-        }
+        write_app_data(&mut self.out, &self.app_tx_pending);
+        self.app_tx_pending.clear();
     }
 
     fn fail(&mut self, e: TlsError) {
-        TlsRecord::Alert {
-            fatal: true,
-            code: 40,
-        }
-        .encode(&mut self.out);
+        write_alert(&mut self.out, 40);
         self.error = Some(e);
         self.state = ClientState::Failed;
     }
@@ -372,9 +364,7 @@ impl TlsClient {
     /// the handshake).
     pub fn write_app(&mut self, data: &[u8]) {
         if self.state == ClientState::Connected {
-            for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-                TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-            }
+            write_app_data(&mut self.out, data);
         } else {
             self.app_tx_pending.extend_from_slice(data);
         }
@@ -437,10 +427,12 @@ enum ServerState {
 /// Server endpoint.
 #[derive(Debug)]
 pub struct TlsServer {
-    cfg: TlsConfig,
+    cfg: Arc<TlsConfig>,
     state: ServerState,
     out: Vec<u8>,
-    hs_in: HandshakeReader,
+    /// Incomplete handshake message carried over between records.
+    hs_in: Vec<u8>,
+    /// Incomplete record carried over between reads.
     rec_buf: Vec<u8>,
     app_rx: Vec<u8>,
     /// Early-data records arriving before the handshake completes.
@@ -458,12 +450,12 @@ pub struct TlsServer {
 }
 
 impl TlsServer {
-    pub fn new(cfg: TlsConfig) -> Self {
+    pub fn new(cfg: impl Into<Arc<TlsConfig>>) -> Self {
         TlsServer {
-            cfg,
+            cfg: cfg.into(),
             state: ServerState::WaitClientHello,
             out: Vec::new(),
-            hs_in: HandshakeReader::new(),
+            hs_in: Vec::new(),
             rec_buf: Vec::new(),
             app_rx: Vec::new(),
             early_rx: Vec::new(),
@@ -478,74 +470,62 @@ impl TlsServer {
         }
     }
 
-    fn send_handshake(&mut self, plaintext_epoch: bool, payload: HandshakePayload) {
-        let mut body = Vec::new();
-        HandshakeMessage::new(payload).encode(&mut body);
-        let rec = if plaintext_epoch {
-            TlsRecord::PlainHandshake(body)
-        } else {
-            TlsRecord::encrypted_handshake(body)
-        };
-        rec.encode(&mut self.out);
-    }
-
     pub fn read_wire(&mut self, now: SimTime, data: &[u8]) {
         if self.state == ServerState::Failed {
             return;
         }
-        self.rec_buf.extend_from_slice(data);
-        while let Some((rec, used)) = TlsRecord::decode(&self.rec_buf) {
-            self.rec_buf.drain(..used);
+        let mut pending = std::mem::take(&mut self.rec_buf);
+        reassemble(&mut pending, data, |rest| {
+            let (rec, used) = RecordRef::decode(rest)?;
             self.on_record(now, rec);
-            if self.state == ServerState::Failed {
-                return;
-            }
-        }
+            (self.state != ServerState::Failed).then_some(used)
+        });
+        self.rec_buf = pending;
     }
 
-    fn on_record(&mut self, now: SimTime, rec: TlsRecord) {
+    fn on_record(&mut self, now: SimTime, rec: RecordRef<'_>) {
         match rec {
-            TlsRecord::Alert { fatal, code } => {
+            RecordRef::Alert { fatal, code } => {
                 if fatal {
                     self.error.get_or_insert(TlsError::PeerAlert(code));
                     self.state = ServerState::Failed;
                 }
             }
-            TlsRecord::ChangeCipherSpec => {}
-            TlsRecord::PlainHandshake(bytes)
-            | TlsRecord::Encrypted {
-                inner_type: 22,
+            RecordRef::ChangeCipherSpec => {}
+            RecordRef::PlainHandshake(bytes)
+            | RecordRef::Encrypted {
+                inner_type: CT_HANDSHAKE,
                 plaintext: bytes,
             } => {
-                self.hs_in.push(&bytes);
-                while let Some(msg) = self.hs_in.next_message() {
+                let mut pending = std::mem::take(&mut self.hs_in);
+                reassemble(&mut pending, bytes, |rest| {
+                    let (msg, used) = HandshakeRef::decode(rest)?;
                     self.on_handshake(now, msg);
-                    if self.state == ServerState::Failed {
-                        return;
-                    }
-                }
+                    (self.state != ServerState::Failed).then_some(used)
+                });
+                self.hs_in = pending;
             }
-            TlsRecord::Encrypted {
-                inner_type: 23,
+            RecordRef::Encrypted {
+                inner_type: CT_APPLICATION_DATA,
                 plaintext,
             } => {
                 if self.state == ServerState::Connected {
-                    self.app_rx.extend_from_slice(&plaintext);
+                    self.app_rx.extend_from_slice(plaintext);
                 } else if self.early_accepted {
-                    self.early_rx.extend_from_slice(&plaintext);
+                    self.early_rx.extend_from_slice(plaintext);
                 }
                 // Otherwise: early data we did not accept — in real TLS
                 // it is undecryptable and skipped; the client replays.
             }
-            TlsRecord::Encrypted { .. } => {}
+            RecordRef::Encrypted { .. } => {}
         }
     }
 
-    fn on_handshake(&mut self, now: SimTime, msg: HandshakeMessage) {
-        match (self.state, msg.payload) {
+    fn on_handshake(&mut self, now: SimTime, msg: HandshakeRef<'_>) {
+        match (self.state, msg) {
             (
                 ServerState::WaitClientHello,
-                HandshakePayload::ClientHello {
+                HandshakeRef::ClientHello {
                     versions,
                     alpn,
                     psk,
@@ -553,16 +533,16 @@ impl TlsServer {
                     ..
                 },
             ) => self.on_client_hello(now, versions, alpn, psk, early_data),
-            (ServerState::WaitClientFinished13, HandshakePayload::Finished) => {
+            (ServerState::WaitClientFinished13, HandshakeRef::Finished) => {
                 self.complete(now);
             }
-            (ServerState::WaitClientKeyExchange, HandshakePayload::ClientKeyExchange) => {
+            (ServerState::WaitClientKeyExchange, HandshakeRef::ClientKeyExchange) => {
                 self.state = ServerState::WaitClientFinished12;
             }
-            (ServerState::WaitClientFinished12, HandshakePayload::Finished) => {
+            (ServerState::WaitClientFinished12, HandshakeRef::Finished) => {
                 if !self.resumed {
-                    TlsRecord::ChangeCipherSpec.encode(&mut self.out);
-                    self.send_handshake(false, HandshakePayload::Finished);
+                    RecordRef::ChangeCipherSpec.encode(&mut self.out);
+                    write_handshake_record(&mut self.out, false, HandshakeRef::Finished);
                 }
                 self.complete(now);
             }
@@ -576,9 +556,9 @@ impl TlsServer {
     fn on_client_hello(
         &mut self,
         now: SimTime,
-        versions: Vec<TlsVersion>,
-        alpn: Vec<Vec<u8>>,
-        psk: Option<SessionTicket>,
+        versions: Versions<'_>,
+        alpn: Alpns<'_>,
+        psk: Option<SessionTicketRef<'_>>,
         early_data: bool,
     ) {
         // Version: server preference order.
@@ -587,93 +567,93 @@ impl TlsServer {
             .versions
             .iter()
             .copied()
-            .find(|v| versions.contains(v))
+            .find(|v| versions.contains(*v))
         else {
-            TlsRecord::Alert {
-                fatal: true,
-                code: 70,
-            }
-            .encode(&mut self.out);
+            write_alert(&mut self.out, 70);
             self.error = Some(TlsError::NoCommonVersion);
             self.state = ServerState::Failed;
             return;
         };
         // ALPN: first client protocol the server supports.
-        let chosen_alpn = alpn.iter().find(|a| self.cfg.alpn.contains(a)).cloned();
-        if chosen_alpn.is_none() && !self.cfg.alpn.is_empty() && !alpn.is_empty() {
-            TlsRecord::Alert {
-                fatal: true,
-                code: 120,
-            }
-            .encode(&mut self.out);
+        let chosen_alpn = alpn
+            .iter()
+            .find(|a| self.cfg.alpn.iter().any(|ours| ours == a));
+        if chosen_alpn.is_none() && !self.cfg.alpn.is_empty() && alpn.len() > 0 {
+            write_alert(&mut self.out, 120);
             self.error = Some(TlsError::NoCommonAlpn);
             self.state = ServerState::Failed;
             return;
         }
         self.version = Some(version);
-        self.alpn = chosen_alpn.clone();
+        self.alpn = chosen_alpn.map(<[u8]>::to_vec);
         // PSK validation: our ticket, still valid, same version+ALPN.
-        let psk_ok = psk.as_ref().is_some_and(|t| {
+        let psk_ok = psk.is_some_and(|t| {
             t.server_id == self.cfg.server_id
                 && t.is_valid_at(now)
                 && t.version == version
-                && chosen_alpn.as_deref() == Some(&t.alpn[..])
+                && chosen_alpn == Some(t.alpn)
         });
         let flight_start = self.out.len();
         self.psk_accepted = psk_ok;
+        let out = &mut self.out;
         match version {
             TlsVersion::Tls13 => {
                 self.early_accepted = psk_ok
                     && early_data
                     && self.cfg.enable_0rtt
-                    && psk.as_ref().is_some_and(|t| t.allows_early_data);
-                self.send_handshake(
+                    && psk.is_some_and(|t| t.allows_early_data);
+                write_handshake_record(
+                    out,
                     true,
-                    HandshakePayload::ServerHello {
+                    HandshakeRef::ServerHello {
                         version,
                         resumed: psk_ok,
                     },
                 );
-                self.send_handshake(
+                write_handshake_record(
+                    out,
                     false,
-                    HandshakePayload::EncryptedExtensions {
+                    HandshakeRef::EncryptedExtensions {
                         alpn: chosen_alpn,
                         early_data_accepted: self.early_accepted,
                     },
                 );
                 if !psk_ok {
-                    self.send_handshake(
+                    write_handshake_record(
+                        out,
                         false,
-                        HandshakePayload::Certificate {
+                        HandshakeRef::Certificate {
                             chain_len: self.cfg.cert_chain_len,
                         },
                     );
-                    self.send_handshake(false, HandshakePayload::CertificateVerify);
+                    write_handshake_record(out, false, HandshakeRef::CertificateVerify);
                 }
-                self.send_handshake(false, HandshakePayload::Finished);
+                write_handshake_record(out, false, HandshakeRef::Finished);
                 self.state = ServerState::WaitClientFinished13;
             }
             TlsVersion::Tls12 => {
                 self.resumed = psk_ok;
-                self.send_handshake(
+                write_handshake_record(
+                    out,
                     true,
-                    HandshakePayload::ServerHello {
+                    HandshakeRef::ServerHello {
                         version,
                         resumed: psk_ok,
                     },
                 );
                 if psk_ok {
-                    TlsRecord::ChangeCipherSpec.encode(&mut self.out);
-                    self.send_handshake(false, HandshakePayload::Finished);
+                    RecordRef::ChangeCipherSpec.encode(out);
+                    write_handshake_record(out, false, HandshakeRef::Finished);
                     self.state = ServerState::WaitClientFinished12;
                 } else {
-                    self.send_handshake(
+                    write_handshake_record(
+                        out,
                         true,
-                        HandshakePayload::Certificate {
+                        HandshakeRef::Certificate {
                             chain_len: self.cfg.cert_chain_len,
                         },
                     );
-                    self.send_handshake(true, HandshakePayload::ServerHelloDone);
+                    write_handshake_record(out, true, HandshakeRef::ServerHelloDone);
                     self.state = ServerState::WaitClientKeyExchange;
                 }
             }
@@ -694,30 +674,32 @@ impl TlsServer {
         sink::emit(now.as_nanos(), || Event::TlsHandshakeCompleted { resumed });
         // Promote early data and issue tickets.
         self.app_rx.splice(0..0, std::mem::take(&mut self.early_rx));
+        let version = self.version.expect("set in CH");
         for _ in 0..self.tickets_to_send {
-            let ticket = SessionTicket {
+            let ticket = SessionTicketRef {
                 server_id: self.cfg.server_id,
-                version: self.version.expect("set in CH"),
-                alpn: self.alpn.clone().unwrap_or_default(),
+                version,
+                alpn: self.alpn.as_deref().unwrap_or_default(),
                 issued_at: now,
                 lifetime: self.cfg.ticket_lifetime,
                 // Early data is a TLS 1.3 mechanism (RFC 8446 §4.2.10):
                 // a ticket from a 1.2 handshake must never advertise it,
                 // or the next connection sends 0-RTT records a 1.2
                 // server silently drops.
-                allows_early_data: self.cfg.enable_0rtt && self.version == Some(TlsVersion::Tls13),
+                allows_early_data: self.cfg.enable_0rtt && version == TlsVersion::Tls13,
                 opaque_len: 120,
             };
-            self.send_handshake(false, HandshakePayload::NewSessionTicket { ticket });
+            write_handshake_record(
+                &mut self.out,
+                false,
+                HandshakeRef::NewSessionTicket { ticket },
+            );
         }
     }
 
     pub fn write_app(&mut self, data: &[u8]) {
-        for chunk in data.chunks(crate::tls::messages::MAX_RECORD_PLAINTEXT) {
-            TlsRecord::app_data(chunk.to_vec()).encode(&mut self.out);
-        }
+        write_app_data(&mut self.out, data);
     }
-
     pub fn read_app(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.app_rx)
     }

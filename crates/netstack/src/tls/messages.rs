@@ -8,7 +8,7 @@
 //! QUIC amplification limit, Table 1's byte accounting, and TCP
 //! segmentation of the certificate flight.
 
-use crate::tls::session::SessionTicket;
+use crate::tls::session::{SessionTicket, SessionTicketRef};
 #[cfg(test)]
 use doqlab_simnet::Duration;
 #[cfg(test)]
@@ -48,8 +48,8 @@ pub const MAX_RECORD_PLAINTEXT: usize = 16_384;
 /// Record-layer content types.
 const CT_CHANGE_CIPHER_SPEC: u8 = 20;
 const CT_ALERT: u8 = 21;
-const CT_HANDSHAKE: u8 = 22;
-const CT_APPLICATION_DATA: u8 = 23;
+pub(crate) const CT_HANDSHAKE: u8 = 22;
+pub(crate) const CT_APPLICATION_DATA: u8 = 23;
 
 /// A record-layer record. `Encrypted` wraps an inner content type and
 /// carries the AEAD overhead on the wire (outer type 23), mirroring how
@@ -69,6 +69,75 @@ pub enum TlsRecord {
     },
 }
 
+/// A record borrowed from received bytes (or viewed from a
+/// [`TlsRecord`] for encoding).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecordRef<'a> {
+    PlainHandshake(&'a [u8]),
+    ChangeCipherSpec,
+    Alert { fatal: bool, code: u8 },
+    Encrypted { inner_type: u8, plaintext: &'a [u8] },
+}
+
+/// How a record's body is protected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecordKind {
+    /// Cleartext of this content type.
+    Plain(u8),
+    /// Encrypted (outer type 23) around this inner content type.
+    Encrypted(u8),
+}
+
+/// Append one record whose body `body` writes straight into `out`:
+/// the 5-byte header goes first with a placeholder length that is
+/// patched once the body (and, when encrypted, the inner type and AEAD
+/// tag) is in place.
+pub(crate) fn write_record(out: &mut Vec<u8>, kind: RecordKind, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    let ctype = match kind {
+        RecordKind::Plain(ctype) => ctype,
+        RecordKind::Encrypted(_) => CT_APPLICATION_DATA,
+    };
+    out.push(ctype);
+    out.extend_from_slice(&0x0303u16.to_be_bytes()); // legacy version
+    out.extend_from_slice(&[0, 0]);
+    body(out);
+    if let RecordKind::Encrypted(inner_type) = kind {
+        out.push(inner_type);
+        out.resize(out.len() + RECORD_OVERHEAD - 1, 0); // AEAD tag
+    }
+    let len = out.len() - start - 5;
+    assert!(
+        len <= MAX_RECORD_PLAINTEXT + RECORD_OVERHEAD,
+        "record exceeds RFC 8446 size limit; chunk before encoding"
+    );
+    out[start + 3..start + 5].copy_from_slice(&(len as u16).to_be_bytes());
+}
+
+/// Append `data` as encrypted application-data records of at most
+/// [`MAX_RECORD_PLAINTEXT`] bytes each.
+pub(crate) fn write_app_data(out: &mut Vec<u8>, data: &[u8]) {
+    for chunk in data.chunks(MAX_RECORD_PLAINTEXT) {
+        write_record(out, RecordKind::Encrypted(CT_APPLICATION_DATA), |o| {
+            o.extend_from_slice(chunk)
+        });
+    }
+}
+
+/// Append handshake message `msg` in its own record.
+pub(crate) fn write_handshake_record(
+    out: &mut Vec<u8>,
+    plaintext_epoch: bool,
+    msg: HandshakeRef<'_>,
+) {
+    let kind = if plaintext_epoch {
+        RecordKind::Plain(CT_HANDSHAKE)
+    } else {
+        RecordKind::Encrypted(CT_HANDSHAKE)
+    };
+    write_record(out, kind, |o| msg.encode(o));
+}
+
 impl TlsRecord {
     pub fn encrypted_handshake(plaintext: Vec<u8>) -> TlsRecord {
         TlsRecord::Encrypted {
@@ -84,64 +153,131 @@ impl TlsRecord {
         }
     }
 
-    /// Serialize with the 5-byte record header.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let (ctype, payload): (u8, Vec<u8>) = match self {
-            TlsRecord::PlainHandshake(p) => (CT_HANDSHAKE, p.clone()),
-            TlsRecord::ChangeCipherSpec => (CT_CHANGE_CIPHER_SPEC, vec![1]),
-            TlsRecord::Alert { fatal, code } => (CT_ALERT, vec![if *fatal { 2 } else { 1 }, *code]),
+    fn view(&self) -> RecordRef<'_> {
+        match self {
+            TlsRecord::PlainHandshake(p) => RecordRef::PlainHandshake(p),
+            TlsRecord::ChangeCipherSpec => RecordRef::ChangeCipherSpec,
+            TlsRecord::Alert { fatal, code } => RecordRef::Alert {
+                fatal: *fatal,
+                code: *code,
+            },
             TlsRecord::Encrypted {
                 inner_type,
                 plaintext,
-            } => {
-                let mut p = plaintext.clone();
-                p.push(*inner_type);
-                p.extend_from_slice(&[0u8; RECORD_OVERHEAD - 1]); // AEAD tag
-                (CT_APPLICATION_DATA, p)
-            }
-        };
-        assert!(
-            payload.len() <= MAX_RECORD_PLAINTEXT + RECORD_OVERHEAD,
-            "record exceeds RFC 8446 size limit; chunk before encoding"
-        );
-        out.push(ctype);
-        out.extend_from_slice(&0x0303u16.to_be_bytes()); // legacy version
-        out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&payload);
+            } => RecordRef::Encrypted {
+                inner_type: *inner_type,
+                plaintext,
+            },
+        }
+    }
+
+    /// Serialize with the 5-byte record header.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.view().encode(out);
     }
 
     /// Parse one record from the front of `buf`; returns the record and
     /// bytes consumed, or `None` if incomplete.
     pub fn decode(buf: &[u8]) -> Option<(TlsRecord, usize)> {
+        let (rec, used) = RecordRef::decode(buf)?;
+        let owned = match rec {
+            RecordRef::PlainHandshake(p) => TlsRecord::PlainHandshake(p.to_vec()),
+            RecordRef::ChangeCipherSpec => TlsRecord::ChangeCipherSpec,
+            RecordRef::Alert { fatal, code } => TlsRecord::Alert { fatal, code },
+            RecordRef::Encrypted {
+                inner_type,
+                plaintext,
+            } => TlsRecord::Encrypted {
+                inner_type,
+                plaintext: plaintext.to_vec(),
+            },
+        };
+        Some((owned, used))
+    }
+}
+
+impl<'a> RecordRef<'a> {
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            RecordRef::PlainHandshake(p) => {
+                write_record(out, RecordKind::Plain(CT_HANDSHAKE), |o| {
+                    o.extend_from_slice(p)
+                })
+            }
+            RecordRef::ChangeCipherSpec => {
+                write_record(out, RecordKind::Plain(CT_CHANGE_CIPHER_SPEC), |o| o.push(1))
+            }
+            RecordRef::Alert { fatal, code } => {
+                write_record(out, RecordKind::Plain(CT_ALERT), |o| {
+                    o.extend_from_slice(&[if fatal { 2 } else { 1 }, code])
+                })
+            }
+            RecordRef::Encrypted {
+                inner_type,
+                plaintext,
+            } => write_record(out, RecordKind::Encrypted(inner_type), |o| {
+                o.extend_from_slice(plaintext)
+            }),
+        }
+    }
+
+    /// Parse one record from the front of `buf`; returns the record and
+    /// bytes consumed, or `None` if incomplete or malformed.
+    pub fn decode(buf: &'a [u8]) -> Option<(RecordRef<'a>, usize)> {
         if buf.len() < 5 {
             return None;
         }
         let ctype = buf[0];
         let len = u16::from_be_bytes([buf[3], buf[4]]) as usize;
-        if buf.len() < 5 + len {
-            return None;
-        }
-        let payload = &buf[5..5 + len];
+        let payload = buf.get(5..5 + len)?;
         let rec = match ctype {
-            CT_HANDSHAKE => TlsRecord::PlainHandshake(payload.to_vec()),
-            CT_CHANGE_CIPHER_SPEC => TlsRecord::ChangeCipherSpec,
-            CT_ALERT => TlsRecord::Alert {
+            CT_HANDSHAKE => RecordRef::PlainHandshake(payload),
+            CT_CHANGE_CIPHER_SPEC => RecordRef::ChangeCipherSpec,
+            CT_ALERT => RecordRef::Alert {
                 fatal: payload.first() == Some(&2),
                 code: payload.get(1).copied().unwrap_or(0),
             },
             CT_APPLICATION_DATA => {
-                if payload.len() < RECORD_OVERHEAD {
-                    return None;
-                }
-                let plaintext_end = payload.len() - RECORD_OVERHEAD;
-                TlsRecord::Encrypted {
+                let plaintext_end = payload.len().checked_sub(RECORD_OVERHEAD)?;
+                RecordRef::Encrypted {
                     inner_type: payload[plaintext_end],
-                    plaintext: payload[..plaintext_end].to_vec(),
+                    plaintext: &payload[..plaintext_end],
                 }
             }
             _ => return None,
         };
         Some((rec, 5 + len))
+    }
+}
+
+/// Decode items from a byte stream that arrives in chunks. `pending`
+/// holds an incomplete tail between calls. `each` decodes and handles
+/// one item from the front of its argument and returns the bytes it
+/// used, or `None` to stop (incomplete, or the caller failed). When
+/// nothing is pending, items are decoded from `data` in place and only
+/// the tail is copied.
+pub(crate) fn reassemble(
+    pending: &mut Vec<u8>,
+    data: &[u8],
+    mut each: impl FnMut(&[u8]) -> Option<usize>,
+) {
+    let mut run = |buf: &[u8]| {
+        let mut pos = 0;
+        while pos < buf.len() {
+            match each(&buf[pos..]) {
+                Some(used) => pos += used,
+                None => break,
+            }
+        }
+        pos
+    };
+    if pending.is_empty() {
+        let used = run(data);
+        pending.extend_from_slice(&data[used..]);
+    } else {
+        pending.extend_from_slice(data);
+        let used = run(pending);
+        pending.drain(..used);
     }
 }
 
@@ -184,19 +320,205 @@ pub enum HandshakePayload {
     ClientKeyExchange,
 }
 
-/// Handshake message type codes (RFC 8446 §4 / RFC 5246 §7.4).
 impl HandshakePayload {
+    pub(crate) fn view(&self) -> HandshakeRef<'_> {
+        match self {
+            HandshakePayload::ClientHello {
+                versions,
+                alpn,
+                psk,
+                early_data,
+                pad,
+            } => HandshakeRef::ClientHello {
+                versions: Versions::List(versions),
+                alpn: Alpns::List(alpn),
+                psk: psk.as_ref().map(SessionTicket::view),
+                early_data: *early_data,
+                pad: *pad,
+            },
+            HandshakePayload::ServerHello { version, resumed } => HandshakeRef::ServerHello {
+                version: *version,
+                resumed: *resumed,
+            },
+            HandshakePayload::EncryptedExtensions {
+                alpn,
+                early_data_accepted,
+            } => HandshakeRef::EncryptedExtensions {
+                alpn: alpn.as_deref(),
+                early_data_accepted: *early_data_accepted,
+            },
+            HandshakePayload::Certificate { chain_len } => HandshakeRef::Certificate {
+                chain_len: *chain_len,
+            },
+            HandshakePayload::CertificateVerify => HandshakeRef::CertificateVerify,
+            HandshakePayload::Finished => HandshakeRef::Finished,
+            HandshakePayload::NewSessionTicket { ticket } => HandshakeRef::NewSessionTicket {
+                ticket: ticket.view(),
+            },
+            HandshakePayload::ServerHelloDone => HandshakeRef::ServerHelloDone,
+            HandshakePayload::ClientKeyExchange => HandshakeRef::ClientKeyExchange,
+        }
+    }
+}
+
+/// A ClientHello's version list: the sender's typed list, or the
+/// received (already checked) wire form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Versions<'a> {
+    List(&'a [TlsVersion]),
+    Wire(&'a [u8]),
+}
+
+impl<'a> Versions<'a> {
+    pub fn len(&self) -> usize {
+        match self {
+            Versions::List(l) => l.len(),
+            Versions::Wire(w) => w.len() / 2,
+        }
+    }
+
+    pub fn iter(self) -> impl Iterator<Item = TlsVersion> + 'a {
+        (0..self.len()).map(move |i| match self {
+            Versions::List(l) => l[i],
+            Versions::Wire(w) => {
+                TlsVersion::from_wire(u16::from_be_bytes([w[2 * i], w[2 * i + 1]]))
+                    .expect("checked on decode")
+            }
+        })
+    }
+
+    pub fn contains(self, v: TlsVersion) -> bool {
+        self.iter().any(|x| x == v)
+    }
+}
+
+/// A ClientHello's ALPN list: the sender's configured list, or the
+/// received (already checked) wire form, scanned in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Alpns<'a> {
+    List(&'a [Vec<u8>]),
+    /// `count` u16-length-prefixed identifiers, back to back.
+    Wire {
+        count: u8,
+        bytes: &'a [u8],
+    },
+}
+
+impl<'a> Alpns<'a> {
+    pub fn len(&self) -> usize {
+        match self {
+            Alpns::List(l) => l.len(),
+            Alpns::Wire { count, .. } => *count as usize,
+        }
+    }
+
+    pub fn iter(self) -> AlpnIter<'a> {
+        match self {
+            Alpns::List(l) => AlpnIter {
+                list: l.iter(),
+                wire: &[],
+            },
+            Alpns::Wire { bytes, .. } => AlpnIter {
+                list: [].iter(),
+                wire: bytes,
+            },
+        }
+    }
+}
+
+/// Iterator over [`Alpns`].
+pub(crate) struct AlpnIter<'a> {
+    list: std::slice::Iter<'a, Vec<u8>>,
+    wire: &'a [u8],
+}
+
+impl<'a> Iterator for AlpnIter<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if let Some(a) = self.list.next() {
+            return Some(a);
+        }
+        let (len, rest) = self.wire.split_first_chunk::<2>()?;
+        let (a, rest) = rest.split_at(u16::from_be_bytes(*len) as usize);
+        self.wire = rest;
+        Some(a)
+    }
+}
+
+/// A handshake message borrowed from received bytes, or viewed in
+/// place for encoding. It is the only encoder and decoder of handshake
+/// messages; [`HandshakeMessage`] wraps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HandshakeRef<'a> {
+    ClientHello {
+        versions: Versions<'a>,
+        alpn: Alpns<'a>,
+        psk: Option<SessionTicketRef<'a>>,
+        early_data: bool,
+        pad: u16,
+    },
+    ServerHello {
+        version: TlsVersion,
+        resumed: bool,
+    },
+    EncryptedExtensions {
+        alpn: Option<&'a [u8]>,
+        early_data_accepted: bool,
+    },
+    Certificate {
+        chain_len: u16,
+    },
+    CertificateVerify,
+    Finished,
+    NewSessionTicket {
+        ticket: SessionTicketRef<'a>,
+    },
+    ServerHelloDone,
+    ClientKeyExchange,
+}
+
+/// Big-endian reader over a message body.
+struct Reader<'a>(&'a [u8], usize);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let s = self.0.get(self.1..self.1.checked_add(n)?)?;
+        self.1 += n;
+        Some(s)
+    }
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+    fn u16(&mut self) -> Option<u16> {
+        Some(u16::from_be_bytes(self.take(2)?.try_into().ok()?))
+    }
+    /// A u16-length-prefixed byte string.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = self.u16()? as usize;
+        self.take(len)
+    }
+}
+
+/// Append a u16-length-prefixed byte string.
+fn put_bytes(b: &mut Vec<u8>, s: &[u8]) {
+    b.extend_from_slice(&(s.len() as u16).to_be_bytes());
+    b.extend_from_slice(s);
+}
+
+impl<'a> HandshakeRef<'a> {
+    /// Handshake message type codes (RFC 8446 §4 / RFC 5246 §7.4).
     fn type_code(&self) -> u8 {
         match self {
-            HandshakePayload::ClientHello { .. } => 1,
-            HandshakePayload::ServerHello { .. } => 2,
-            HandshakePayload::NewSessionTicket { .. } => 4,
-            HandshakePayload::EncryptedExtensions { .. } => 8,
-            HandshakePayload::Certificate { .. } => 11,
-            HandshakePayload::ServerHelloDone => 14,
-            HandshakePayload::ClientKeyExchange => 16,
-            HandshakePayload::CertificateVerify => 15,
-            HandshakePayload::Finished => 20,
+            HandshakeRef::ClientHello { .. } => 1,
+            HandshakeRef::ServerHello { .. } => 2,
+            HandshakeRef::NewSessionTicket { .. } => 4,
+            HandshakeRef::EncryptedExtensions { .. } => 8,
+            HandshakeRef::Certificate { .. } => 11,
+            HandshakeRef::ServerHelloDone => 14,
+            HandshakeRef::ClientKeyExchange => 16,
+            HandshakeRef::CertificateVerify => 15,
+            HandshakeRef::Finished => 20,
         }
     }
 
@@ -205,18 +527,196 @@ impl HandshakePayload {
     fn size_model(&self) -> usize {
         match self {
             // random + cipher suites + key_share + SNI + misc exts.
-            HandshakePayload::ClientHello { psk, pad, .. } => {
+            HandshakeRef::ClientHello { psk, pad, .. } => {
                 200 + *pad as usize + if psk.is_some() { 110 } else { 0 }
             }
             // random + key_share.
-            HandshakePayload::ServerHello { .. } => 76,
-            HandshakePayload::EncryptedExtensions { .. } => 6,
-            HandshakePayload::Certificate { chain_len } => *chain_len as usize,
-            HandshakePayload::CertificateVerify => 260,
-            HandshakePayload::Finished => 32,
-            HandshakePayload::NewSessionTicket { .. } => 30,
-            HandshakePayload::ServerHelloDone => 0,
-            HandshakePayload::ClientKeyExchange => 66,
+            HandshakeRef::ServerHello { .. } => 76,
+            HandshakeRef::EncryptedExtensions { .. } => 6,
+            HandshakeRef::Certificate { chain_len } => *chain_len as usize,
+            HandshakeRef::CertificateVerify => 260,
+            HandshakeRef::Finished => 32,
+            HandshakeRef::NewSessionTicket { .. } => 30,
+            HandshakeRef::ServerHelloDone => 0,
+            HandshakeRef::ClientKeyExchange => 66,
+        }
+    }
+
+    /// Append: 1-byte type, 24-bit length, structured body + padding.
+    /// The body is written in place behind a length placeholder that is
+    /// patched at the end.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.push(self.type_code());
+        out.extend_from_slice(&[0; 3]);
+        self.encode_body(out);
+        out.resize(out.len() + self.size_model(), 0);
+        let len = out.len() - start - 4;
+        assert!(len < 1 << 24, "handshake message exceeds 2^24 bytes");
+        out[start + 1..start + 4].copy_from_slice(&(len as u32).to_be_bytes()[1..]);
+    }
+
+    fn encode_body(&self, b: &mut Vec<u8>) {
+        match self {
+            HandshakeRef::ClientHello {
+                versions,
+                alpn,
+                psk,
+                early_data,
+                pad,
+            } => {
+                b.push(versions.len() as u8);
+                for v in versions.iter() {
+                    b.extend_from_slice(&v.wire().to_be_bytes());
+                }
+                b.push(alpn.len() as u8);
+                for a in alpn.iter() {
+                    put_bytes(b, a);
+                }
+                match psk {
+                    None => b.push(0),
+                    Some(t) => {
+                        b.push(1);
+                        b.extend_from_slice(&(t.wire_len() as u16).to_be_bytes());
+                        t.write(b);
+                    }
+                }
+                b.push(*early_data as u8);
+                b.extend_from_slice(&pad.to_be_bytes());
+            }
+            HandshakeRef::ServerHello { version, resumed } => {
+                b.extend_from_slice(&version.wire().to_be_bytes());
+                b.push(*resumed as u8);
+            }
+            HandshakeRef::EncryptedExtensions {
+                alpn,
+                early_data_accepted,
+            } => {
+                match alpn {
+                    None => b.push(0),
+                    Some(a) => {
+                        b.push(1);
+                        put_bytes(b, a);
+                    }
+                }
+                b.push(*early_data_accepted as u8);
+            }
+            HandshakeRef::Certificate { chain_len } => {
+                b.extend_from_slice(&chain_len.to_be_bytes());
+            }
+            HandshakeRef::NewSessionTicket { ticket } => {
+                b.extend_from_slice(&(ticket.wire_len() as u16).to_be_bytes());
+                ticket.write(b);
+            }
+            HandshakeRef::CertificateVerify
+            | HandshakeRef::Finished
+            | HandshakeRef::ServerHelloDone
+            | HandshakeRef::ClientKeyExchange => {}
+        }
+    }
+
+    /// Parse one message from the front of `buf`; `None` if incomplete
+    /// or malformed.
+    pub fn decode(buf: &'a [u8]) -> Option<(HandshakeRef<'a>, usize)> {
+        if buf.len() < 4 {
+            return None;
+        }
+        let typ = buf[0];
+        let len = u32::from_be_bytes([0, buf[1], buf[2], buf[3]]) as usize;
+        let body = buf.get(4..4 + len)?;
+        let msg = Self::decode_body(typ, body)?;
+        Some((msg, 4 + len))
+    }
+
+    fn decode_body(typ: u8, b: &'a [u8]) -> Option<HandshakeRef<'a>> {
+        let mut r = Reader(b, 0);
+        Some(match typ {
+            1 => {
+                let nv = r.u8()? as usize;
+                let versions = r.take(2 * nv)?;
+                for v in versions.chunks_exact(2) {
+                    TlsVersion::from_wire(u16::from_be_bytes([v[0], v[1]]))?;
+                }
+                let count = r.u8()?;
+                let start = r.1;
+                for _ in 0..count {
+                    r.bytes()?;
+                }
+                let alpn = Alpns::Wire {
+                    count,
+                    bytes: &b[start..r.1],
+                };
+                let psk = if r.u8()? == 1 {
+                    Some(SessionTicketRef::decode(r.bytes()?)?)
+                } else {
+                    None
+                };
+                HandshakeRef::ClientHello {
+                    versions: Versions::Wire(versions),
+                    alpn,
+                    psk,
+                    early_data: r.u8()? == 1,
+                    pad: r.u16()?,
+                }
+            }
+            2 => HandshakeRef::ServerHello {
+                version: TlsVersion::from_wire(r.u16()?)?,
+                resumed: r.u8()? == 1,
+            },
+            4 => HandshakeRef::NewSessionTicket {
+                ticket: SessionTicketRef::decode(r.bytes()?)?,
+            },
+            8 => {
+                let alpn = if r.u8()? == 1 { Some(r.bytes()?) } else { None };
+                HandshakeRef::EncryptedExtensions {
+                    alpn,
+                    early_data_accepted: r.u8()? == 1,
+                }
+            }
+            11 => HandshakeRef::Certificate {
+                chain_len: r.u16()?,
+            },
+            14 => HandshakeRef::ServerHelloDone,
+            15 => HandshakeRef::CertificateVerify,
+            16 => HandshakeRef::ClientKeyExchange,
+            20 => HandshakeRef::Finished,
+            _ => return None,
+        })
+    }
+
+    pub fn to_owned(self) -> HandshakePayload {
+        match self {
+            HandshakeRef::ClientHello {
+                versions,
+                alpn,
+                psk,
+                early_data,
+                pad,
+            } => HandshakePayload::ClientHello {
+                versions: versions.iter().collect(),
+                alpn: alpn.iter().map(<[u8]>::to_vec).collect(),
+                psk: psk.map(SessionTicketRef::to_owned),
+                early_data,
+                pad,
+            },
+            HandshakeRef::ServerHello { version, resumed } => {
+                HandshakePayload::ServerHello { version, resumed }
+            }
+            HandshakeRef::EncryptedExtensions {
+                alpn,
+                early_data_accepted,
+            } => HandshakePayload::EncryptedExtensions {
+                alpn: alpn.map(<[u8]>::to_vec),
+                early_data_accepted,
+            },
+            HandshakeRef::Certificate { chain_len } => HandshakePayload::Certificate { chain_len },
+            HandshakeRef::CertificateVerify => HandshakePayload::CertificateVerify,
+            HandshakeRef::Finished => HandshakePayload::Finished,
+            HandshakeRef::NewSessionTicket { ticket } => HandshakePayload::NewSessionTicket {
+                ticket: ticket.to_owned(),
+            },
+            HandshakeRef::ServerHelloDone => HandshakePayload::ServerHelloDone,
+            HandshakeRef::ClientKeyExchange => HandshakePayload::ClientKeyExchange,
         }
     }
 }
@@ -234,191 +734,13 @@ impl HandshakeMessage {
 
     /// Encode: 1-byte type, 24-bit length, structured body + padding.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
-        self.encode_body(&mut body);
-        let pad = self.payload.size_model();
-        body.extend(std::iter::repeat_n(0u8, pad));
-        out.push(self.payload.type_code());
-        let len = body.len() as u32;
-        out.extend_from_slice(&len.to_be_bytes()[1..]);
-        out.extend_from_slice(&body);
-    }
-
-    fn encode_body(&self, b: &mut Vec<u8>) {
-        fn put_bytes(b: &mut Vec<u8>, s: &[u8]) {
-            b.extend_from_slice(&(s.len() as u16).to_be_bytes());
-            b.extend_from_slice(s);
-        }
-        match &self.payload {
-            HandshakePayload::ClientHello {
-                versions,
-                alpn,
-                psk,
-                early_data,
-                pad,
-            } => {
-                b.push(versions.len() as u8);
-                for v in versions {
-                    b.extend_from_slice(&v.wire().to_be_bytes());
-                }
-                b.push(alpn.len() as u8);
-                for a in alpn {
-                    put_bytes(b, a);
-                }
-                match psk {
-                    None => b.push(0),
-                    Some(t) => {
-                        b.push(1);
-                        let enc = t.encode();
-                        put_bytes(b, &enc);
-                    }
-                }
-                b.push(*early_data as u8);
-                b.extend_from_slice(&pad.to_be_bytes());
-            }
-            HandshakePayload::ServerHello { version, resumed } => {
-                b.extend_from_slice(&version.wire().to_be_bytes());
-                b.push(*resumed as u8);
-            }
-            HandshakePayload::EncryptedExtensions {
-                alpn,
-                early_data_accepted,
-            } => {
-                match alpn {
-                    None => b.push(0),
-                    Some(a) => {
-                        b.push(1);
-                        put_bytes(b, a);
-                    }
-                }
-                b.push(*early_data_accepted as u8);
-            }
-            HandshakePayload::Certificate { chain_len } => {
-                b.extend_from_slice(&chain_len.to_be_bytes());
-            }
-            HandshakePayload::NewSessionTicket { ticket } => {
-                let enc = ticket.encode();
-                put_bytes(b, &enc);
-            }
-            HandshakePayload::CertificateVerify
-            | HandshakePayload::Finished
-            | HandshakePayload::ServerHelloDone
-            | HandshakePayload::ClientKeyExchange => {}
-        }
+        self.payload.view().encode(out);
     }
 
     /// Parse one message from the front of `buf`; `None` if incomplete.
     pub fn decode(buf: &[u8]) -> Option<(HandshakeMessage, usize)> {
-        if buf.len() < 4 {
-            return None;
-        }
-        let typ = buf[0];
-        let len = u32::from_be_bytes([0, buf[1], buf[2], buf[3]]) as usize;
-        if buf.len() < 4 + len {
-            return None;
-        }
-        let body = &buf[4..4 + len];
-        let payload = Self::decode_body(typ, body)?;
-        Some((HandshakeMessage { payload }, 4 + len))
-    }
-
-    fn decode_body(typ: u8, b: &[u8]) -> Option<HandshakePayload> {
-        struct R<'a>(&'a [u8], usize);
-        impl<'a> R<'a> {
-            fn u8(&mut self) -> Option<u8> {
-                let v = *self.0.get(self.1)?;
-                self.1 += 1;
-                Some(v)
-            }
-            fn u16(&mut self) -> Option<u16> {
-                let v = u16::from_be_bytes([*self.0.get(self.1)?, *self.0.get(self.1 + 1)?]);
-                self.1 += 2;
-                Some(v)
-            }
-            fn bytes(&mut self) -> Option<Vec<u8>> {
-                let len = self.u16()? as usize;
-                if self.1 + len > self.0.len() {
-                    return None;
-                }
-                let v = self.0[self.1..self.1 + len].to_vec();
-                self.1 += len;
-                Some(v)
-            }
-        }
-        let mut r = R(b, 0);
-        Some(match typ {
-            1 => {
-                let nv = r.u8()? as usize;
-                let mut versions = Vec::new();
-                for _ in 0..nv {
-                    versions.push(TlsVersion::from_wire(r.u16()?)?);
-                }
-                let na = r.u8()? as usize;
-                let mut alpn = Vec::new();
-                for _ in 0..na {
-                    alpn.push(r.bytes()?);
-                }
-                let psk = if r.u8()? == 1 {
-                    Some(SessionTicket::decode(&r.bytes()?)?)
-                } else {
-                    None
-                };
-                let early_data = r.u8()? == 1;
-                let pad = r.u16()?;
-                HandshakePayload::ClientHello {
-                    versions,
-                    alpn,
-                    psk,
-                    early_data,
-                    pad,
-                }
-            }
-            2 => HandshakePayload::ServerHello {
-                version: TlsVersion::from_wire(r.u16()?)?,
-                resumed: r.u8()? == 1,
-            },
-            4 => HandshakePayload::NewSessionTicket {
-                ticket: SessionTicket::decode(&r.bytes()?)?,
-            },
-            8 => {
-                let alpn = if r.u8()? == 1 { Some(r.bytes()?) } else { None };
-                HandshakePayload::EncryptedExtensions {
-                    alpn,
-                    early_data_accepted: r.u8()? == 1,
-                }
-            }
-            11 => HandshakePayload::Certificate {
-                chain_len: r.u16()?,
-            },
-            14 => HandshakePayload::ServerHelloDone,
-            15 => HandshakePayload::CertificateVerify,
-            16 => HandshakePayload::ClientKeyExchange,
-            20 => HandshakePayload::Finished,
-            _ => return None,
-        })
-    }
-}
-
-/// Incremental parser for a stream of handshake messages (used for
-/// CRYPTO-frame reassembly in QUIC and record payloads in TLS).
-#[derive(Debug, Default)]
-pub struct HandshakeReader {
-    buf: Vec<u8>,
-}
-
-impl HandshakeReader {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
-
-    pub fn next_message(&mut self) -> Option<HandshakeMessage> {
-        let (msg, used) = HandshakeMessage::decode(&self.buf)?;
-        self.buf.drain(..used);
-        Some(msg)
+        let (msg, used) = HandshakeRef::decode(buf)?;
+        Some((HandshakeMessage::new(msg.to_owned()), used))
     }
 }
 
@@ -572,21 +894,24 @@ mod tests {
         let mut wire = Vec::new();
         HandshakeMessage::new(HandshakePayload::Finished).encode(&mut wire);
         HandshakeMessage::new(HandshakePayload::ServerHelloDone).encode(&mut wire);
-        let mut reader = HandshakeReader::new();
-        let mid = wire.len() / 2;
-        reader.push(&wire[..mid]);
-        let first = reader.next_message();
-        reader.push(&wire[mid..]);
+        let mut pending = Vec::new();
         let mut got = Vec::new();
-        if let Some(m) = first {
-            got.push(m);
+        let mid = wire.len() / 2;
+        for chunk in [&wire[..mid], &wire[mid..]] {
+            reassemble(&mut pending, chunk, |rest| {
+                let (msg, used) = HandshakeRef::decode(rest)?;
+                got.push(msg.to_owned());
+                Some(used)
+            });
         }
-        while let Some(m) = reader.next_message() {
-            got.push(m);
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].payload, HandshakePayload::Finished);
-        assert_eq!(got[1].payload, HandshakePayload::ServerHelloDone);
+        assert!(pending.is_empty());
+        assert_eq!(
+            got,
+            [
+                HandshakePayload::Finished,
+                HandshakePayload::ServerHelloDone
+            ]
+        );
     }
 
     #[test]

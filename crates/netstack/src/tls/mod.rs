@@ -13,8 +13,8 @@
 //! CRYPTO frames, exactly like real QUIC embeds TLS 1.3.
 
 mod engine;
-mod messages;
-mod session;
+pub(crate) mod messages;
+pub(crate) mod session;
 
 pub use engine::{TlsClient, TlsConfig, TlsError, TlsServer};
 pub use messages::{HandshakeMessage, HandshakePayload, TlsRecord, TlsVersion, RECORD_OVERHEAD};

@@ -31,48 +31,88 @@ pub struct SessionTicket {
     pub opaque_len: u16,
 }
 
+/// A ticket borrowed from received bytes, or viewed in place from a
+/// [`SessionTicket`] for encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SessionTicketRef<'a> {
+    pub server_id: u64,
+    pub version: TlsVersion,
+    pub alpn: &'a [u8],
+    pub issued_at: SimTime,
+    pub lifetime: Duration,
+    pub allows_early_data: bool,
+    pub opaque_len: u16,
+}
+
 impl SessionTicket {
     pub fn is_valid_at(&self, now: SimTime) -> bool {
-        now < self.issued_at + self.lifetime
+        self.view().is_valid_at(now)
+    }
+
+    pub(crate) fn view(&self) -> SessionTicketRef<'_> {
+        SessionTicketRef {
+            server_id: self.server_id,
+            version: self.version,
+            alpn: &self.alpn,
+            issued_at: self.issued_at,
+            lifetime: self.lifetime,
+            allows_early_data: self.allows_early_data,
+            opaque_len: self.opaque_len,
+        }
     }
 
     /// Serialize (fields + opaque blob).
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        b.extend_from_slice(&self.server_id.to_be_bytes());
-        b.extend_from_slice(&self.version.wire().to_be_bytes());
-        b.extend_from_slice(&(self.alpn.len() as u16).to_be_bytes());
-        b.extend_from_slice(&self.alpn);
-        b.extend_from_slice(&self.issued_at.as_nanos().to_be_bytes());
-        b.extend_from_slice(&(self.lifetime.as_secs()).to_be_bytes());
-        b.push(self.allows_early_data as u8);
-        b.extend_from_slice(&self.opaque_len.to_be_bytes());
-        b.extend(std::iter::repeat_n(0u8, self.opaque_len as usize));
+        let t = self.view();
+        let mut b = Vec::with_capacity(t.wire_len());
+        t.write(&mut b);
         b
     }
 
     pub fn decode(b: &[u8]) -> Option<SessionTicket> {
+        SessionTicketRef::decode(b).map(SessionTicketRef::to_owned)
+    }
+}
+
+impl<'a> SessionTicketRef<'a> {
+    pub fn is_valid_at(&self, now: SimTime) -> bool {
+        now < self.issued_at + self.lifetime
+    }
+
+    /// Encoded size.
+    pub fn wire_len(&self) -> usize {
+        8 + 2 + 2 + self.alpn.len() + 8 + 8 + 1 + 2 + self.opaque_len as usize
+    }
+
+    pub fn write(&self, b: &mut Vec<u8>) {
+        b.extend_from_slice(&self.server_id.to_be_bytes());
+        b.extend_from_slice(&self.version.wire().to_be_bytes());
+        b.extend_from_slice(&(self.alpn.len() as u16).to_be_bytes());
+        b.extend_from_slice(self.alpn);
+        b.extend_from_slice(&self.issued_at.as_nanos().to_be_bytes());
+        b.extend_from_slice(&(self.lifetime.as_secs()).to_be_bytes());
+        b.push(self.allows_early_data as u8);
+        b.extend_from_slice(&self.opaque_len.to_be_bytes());
+        b.resize(b.len() + self.opaque_len as usize, 0);
+    }
+
+    pub fn decode(b: &'a [u8]) -> Option<SessionTicketRef<'a>> {
         let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            if *pos + n > b.len() {
-                return None;
-            }
-            let s = &b[*pos..*pos + n];
-            *pos += n;
+        let mut take = |n: usize| -> Option<&'a [u8]> {
+            let s = b.get(pos..pos.checked_add(n)?)?;
+            pos += n;
             Some(s)
         };
-        let server_id = u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        let version =
-            TlsVersion::from_wire(u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?))?;
-        let alpn_len = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?) as usize;
-        let alpn = take(&mut pos, alpn_len)?.to_vec();
-        let issued_at =
-            SimTime::from_nanos(u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?));
-        let lifetime = Duration::from_secs(u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?));
-        let allows_early_data = take(&mut pos, 1)?[0] == 1;
-        let opaque_len = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?);
-        take(&mut pos, opaque_len as usize)?;
-        Some(SessionTicket {
+        let server_id = u64::from_be_bytes(take(8)?.try_into().ok()?);
+        let version = TlsVersion::from_wire(u16::from_be_bytes(take(2)?.try_into().ok()?))?;
+        let alpn_len = u16::from_be_bytes(take(2)?.try_into().ok()?) as usize;
+        let alpn = take(alpn_len)?;
+        let issued_at = SimTime::from_nanos(u64::from_be_bytes(take(8)?.try_into().ok()?));
+        let lifetime = Duration::from_secs(u64::from_be_bytes(take(8)?.try_into().ok()?));
+        let allows_early_data = take(1)?[0] == 1;
+        let opaque_len = u16::from_be_bytes(take(2)?.try_into().ok()?);
+        take(opaque_len as usize)?;
+        Some(SessionTicketRef {
             server_id,
             version,
             alpn,
@@ -81,6 +121,18 @@ impl SessionTicket {
             allows_early_data,
             opaque_len,
         })
+    }
+
+    pub fn to_owned(self) -> SessionTicket {
+        SessionTicket {
+            server_id: self.server_id,
+            version: self.version,
+            alpn: self.alpn.to_vec(),
+            issued_at: self.issued_at,
+            lifetime: self.lifetime,
+            allows_early_data: self.allows_early_data,
+            opaque_len: self.opaque_len,
+        }
     }
 }
 
@@ -120,6 +172,7 @@ mod tests {
     fn encoded_size_includes_opaque_blob() {
         let t = ticket();
         assert!(t.encode().len() > 120);
+        assert_eq!(t.encode().len(), t.view().wire_len());
     }
 
     #[test]

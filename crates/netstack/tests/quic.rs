@@ -235,6 +235,61 @@ fn amplification_limit_stalls_large_certificate_without_token() {
 }
 
 #[test]
+fn gappy_pings_never_push_an_amplification_limited_server_past_3x() {
+    // The large certificate leaves the server amplification-limited
+    // after the client's first flight. Then 60 46-byte Initials arrive,
+    // each a PING with packet numbers 3, 5, 7, ...: every one opens a
+    // new ACK range, so the ACK the server owes soon outgrows the
+    // budget each datagram grants. The ACK must shrink to the ranges
+    // that fit (RFC 9000 §13.2.4) rather than overflow the budget.
+    let cfg = QuicConfig {
+        tls: TlsConfig {
+            cert_chain_len: 4500,
+            ..tls("doq")
+        },
+        ..QuicConfig::default()
+    };
+    let mut server = QuicServer::new(server_addr(), cfg.clone());
+    let mut c = dial(cfg, QUIC_V1, None, None);
+    let now = SimTime::ZERO;
+    let (mut received, mut sent) = (0, 0);
+    for d in c.poll_transmit(now) {
+        received += d.len();
+        server.handle_datagram(now, client_addr(), &d);
+    }
+    for (_, d) in server.poll_transmit(now) {
+        sent += d.len();
+    }
+    assert!(sent <= 3 * received);
+    let mut ping = Vec::new();
+    Frame::Ping.encode(&mut ping);
+    for i in 0..60u64 {
+        let pkt = QuicPacket::new(
+            PacketType::Initial,
+            QUIC_V1,
+            [0xAA; 8],
+            [0xBB; 8],
+            3 + 2 * i,
+            ping.clone(),
+        );
+        let mut d = Vec::new();
+        pkt.encode(&mut d);
+        assert_eq!(d.len(), 46);
+        received += d.len();
+        server.handle_datagram(now, client_addr(), &d);
+        for (_, d) in server.poll_transmit(now) {
+            sent += d.len();
+        }
+        assert!(
+            sent <= 3 * received,
+            "after ping {i}: sent {sent} for {received} received"
+        );
+    }
+    // The budget went to ACKs and the rest of the certificate flight.
+    assert!(sent > 3 * received - 200, "sent {sent} of {}", 3 * received);
+}
+
+#[test]
 fn token_lifts_amplification_limit() {
     // With a valid address-validation token, even the large certificate
     // flows in one RTT: the server is validated from the first Initial.
