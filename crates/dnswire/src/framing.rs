@@ -4,14 +4,20 @@
 
 /// Prefix `msg` with its big-endian 16-bit length.
 pub fn frame(msg: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 + msg.len());
+    out.extend_from_slice(&prefix(msg));
+    out.extend_from_slice(msg);
+    out
+}
+
+/// The length prefix of `msg`, for writers that send it ahead of the
+/// message instead of building the framed copy.
+pub fn prefix(msg: &[u8]) -> [u8; 2] {
     assert!(
         msg.len() <= u16::MAX as usize,
         "DNS message too large to frame"
     );
-    let mut out = Vec::with_capacity(2 + msg.len());
-    out.extend_from_slice(&(msg.len() as u16).to_be_bytes());
-    out.extend_from_slice(msg);
-    out
+    (msg.len() as u16).to_be_bytes()
 }
 
 /// Incremental de-framer: feed arbitrary byte chunks, take out complete
@@ -35,16 +41,30 @@ impl LengthPrefixedReader {
 
     /// Take the next complete message, if one is buffered.
     pub fn next_message(&mut self) -> Option<Vec<u8>> {
-        if self.buf.len() < 2 {
-            return None;
+        let mut msg = None;
+        self.messages_with(|m| {
+            msg = Some(m.to_vec());
+            false
+        });
+        msg
+    }
+
+    /// Hand each complete buffered message to `each` by borrowing, in
+    /// order, consuming it; `each` returns whether to go on to the next
+    /// one. The buffer keeps its capacity.
+    pub fn messages_with(&mut self, mut each: impl FnMut(&[u8]) -> bool) {
+        let mut pos = 0;
+        while let Some(prefix) = self.buf.get(pos..pos + 2) {
+            let len = u16::from_be_bytes([prefix[0], prefix[1]]) as usize;
+            let Some(msg) = self.buf.get(pos + 2..pos + 2 + len) else {
+                break;
+            };
+            pos += 2 + len;
+            if !each(msg) {
+                break;
+            }
         }
-        let len = u16::from_be_bytes([self.buf[0], self.buf[1]]) as usize;
-        if self.buf.len() < 2 + len {
-            return None;
-        }
-        let msg = self.buf[2..2 + len].to_vec();
-        self.buf.drain(..2 + len);
-        Some(msg)
+        self.buf.drain(..pos);
     }
 
     /// Bytes buffered but not yet forming a complete message.
@@ -95,6 +115,25 @@ mod tests {
         assert_eq!(r.next_message(), Some(b"two".to_vec()));
         assert_eq!(r.next_message(), Some(vec![]));
         assert_eq!(r.next_message(), None);
+    }
+
+    #[test]
+    fn messages_are_lent_in_order_and_consumed() {
+        let mut wire = frame(b"one");
+        wire.extend(frame(b"two"));
+        wire.extend(&frame(b"three")[..4]);
+        let mut r = LengthPrefixedReader::new();
+        r.push(&wire);
+        let mut seen = Vec::new();
+        r.messages_with(|m| {
+            seen.push(m.to_vec());
+            true
+        });
+        assert_eq!(seen, vec![b"one".to_vec(), b"two".to_vec()]);
+        assert_eq!(r.pending_len(), 4);
+        r.push(b"ree");
+        assert_eq!(r.next_message(), Some(b"three".to_vec()));
+        assert_eq!(r.pending_len(), 0);
     }
 
     #[test]

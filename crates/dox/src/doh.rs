@@ -2,10 +2,10 @@
 //! `application/dns-message` bodies over TLS over TCP, port 443.
 
 use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
-use crate::tcp::{classify_tcp_failure, segments_to_packets};
+use crate::tcp::{classify_tcp_failure, transmit};
 use doqlab_dnswire::Message;
-use doqlab_netstack::http2::{doh_request_headers, doh_response_headers, H2Connection};
-use doqlab_netstack::tcp::{TcpConfig, TcpSegment, TcpSocket};
+use doqlab_netstack::http2::{doh_request_headers, DecimalStr, H2Connection};
+use doqlab_netstack::tcp::{SegmentRef, TcpConfig, TcpSocket};
 use doqlab_netstack::tls::{TlsClient, TlsConfig};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
@@ -66,13 +66,10 @@ impl DoHClient {
         }
     }
 
-    fn send_request(&mut self, now: SimTime, body: Vec<u8>) {
-        let headers = doh_request_headers(&self.authority, body.len());
-        let header_refs: Vec<(&str, &str)> = headers
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.as_str()))
-            .collect();
-        let stream_id = self.h2.send_request(&header_refs, &body);
+    fn send_request(&mut self, now: SimTime, body: &[u8]) {
+        let len = DecimalStr::new(body.len());
+        let headers = doh_request_headers(&self.authority, len.as_str());
+        let stream_id = self.h2.send_request(&headers, body);
         sink::emit(now.as_nanos(), || Event::HttpRequestSent {
             protocol: "h2",
             stream_id: stream_id as u64,
@@ -86,19 +83,16 @@ impl DoHClient {
         // ride as TLS application data, including 0-RTT).
         if self.tls.is_connected() && !self.queued.is_empty() {
             for body in std::mem::take(&mut self.queued) {
-                self.send_request(now, body);
+                self.send_request(now, &body);
             }
         }
         // TCP -> TLS -> HTTP/2.
-        let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.tls.read_wire(now, &data);
-        }
-        let plain = self.tls.read_app();
-        if !plain.is_empty() {
-            self.h2.read_wire(&plain);
-        }
-        for m in self.h2.take_messages() {
+        let tls = &mut self.tls;
+        self.tcp.recv_with(|data| tls.read_wire(now, data));
+        let h2 = &mut self.h2;
+        self.tls.read_app_with(|plain| h2.read_wire(plain));
+        let (outstanding, responses) = (&mut self.outstanding, &mut self.responses);
+        self.h2.messages_with(|m| {
             let status = m
                 .header(":status")
                 .and_then(|s| s.parse::<u32>().ok())
@@ -111,29 +105,28 @@ impl DoHClient {
             });
             metrics::count(Counter::HttpResponsesReceived, 1);
             if status == 200 {
-                if let Ok(msg) = Message::decode(&m.body) {
-                    self.outstanding = self.outstanding.saturating_sub(1);
-                    self.responses.push((now, msg));
+                if let Ok(msg) = Message::decode(m.body) {
+                    *outstanding = outstanding.saturating_sub(1);
+                    responses.push((now, msg));
                 }
             }
-        }
+        });
         for ticket in self.tls.take_tickets() {
             self.session_out.tls_ticket = Some(ticket);
         }
         // HTTP/2 -> TLS -> TCP.
-        let h2_out = self.h2.take_output();
-        if !h2_out.is_empty() {
-            self.tls.write_app(&h2_out);
-        }
+        let tls = &mut self.tls;
+        self.h2.take_output_with(|h2_out| tls.write_app(h2_out));
         // A dying socket (closed by the resilience layer, or reset) no
         // longer accepts data; drop the TLS output rather than
         // asserting.
-        let wire = self.tls.take_output();
-        if !wire.is_empty() && self.tcp.can_send() {
-            self.tcp.send(&wire);
-        }
-        let (local, remote) = (self.tcp.local, self.tcp.remote);
-        segments_to_packets(local, remote, self.tcp.poll(now), out);
+        let tcp = &mut self.tcp;
+        self.tls.take_output_with(|wire| {
+            if tcp.can_send() {
+                tcp.send(wire);
+            }
+        });
+        transmit(&mut self.tcp, now, out);
     }
 }
 
@@ -146,20 +139,20 @@ impl DnsClientConn for DoHClient {
     fn query(&mut self, now: SimTime, msg: &Message) {
         let body = msg.encode();
         if self.tls.is_connected() {
-            self.send_request(now, body);
+            self.send_request(now, &body);
         } else if self.early_permitted && !self.tls_started {
             // The H2 request bytes join the preface in the TLS engine's
             // pending buffer and ride the ClientHello as 0-RTT early
             // data; a rejection replays them after the handshake.
-            self.send_request(now, body);
+            self.send_request(now, &body);
         } else {
             self.queued.push(body);
         }
     }
 
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {
-        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-            self.tcp.on_segment(now, &seg);
+        if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+            self.tcp.on_segment(now, seg);
         }
         if self.tcp.is_established() && !self.tls_started {
             self.tls_started = true;
@@ -219,10 +212,4 @@ impl DnsClientConn for DoHClient {
             ..ConnMetadata::default()
         }
     }
-}
-
-/// Build the HTTP/2 response for a DoH query (server side helper).
-pub fn doh_response_parts(msg: &Message) -> (Vec<(String, String)>, Vec<u8>) {
-    let body = msg.encode();
-    (doh_response_headers(body.len()), body)
 }

@@ -2,9 +2,9 @@
 //! `dot`, with the RFC 1035 2-byte message framing inside the tunnel.
 
 use crate::client::{ClientConfig, ConnMetadata, DnsClientConn, FailureKind, SessionState};
-use crate::tcp::{classify_tcp_failure, segments_to_packets};
+use crate::tcp::{classify_tcp_failure, transmit};
 use doqlab_dnswire::{framing, LengthPrefixedReader, Message};
-use doqlab_netstack::tcp::{TcpConfig, TcpSegment, TcpSocket};
+use doqlab_netstack::tcp::{SegmentRef, TcpConfig, TcpSocket};
 use doqlab_netstack::tls::{TlsClient, TlsConfig};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use std::collections::HashSet;
@@ -50,34 +50,32 @@ impl DoTClient {
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         // TCP -> TLS.
-        let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.tls.read_wire(now, &data);
-        }
+        let tls = &mut self.tls;
+        self.tcp.recv_with(|data| tls.read_wire(now, data));
         // TLS app plaintext -> DNS messages.
-        let plain = self.tls.read_app();
-        if !plain.is_empty() {
-            self.reader.push(&plain);
-            while let Some(wire) = self.reader.next_message() {
-                if let Ok(msg) = Message::decode(&wire) {
-                    if msg.header.response && self.pending.remove(&msg.header.id) {
-                        self.responses.push((now, msg));
-                    }
+        let reader = &mut self.reader;
+        self.tls.read_app_with(|plain| reader.push(plain));
+        self.reader.messages_with(|wire| {
+            if let Ok(msg) = Message::decode(wire) {
+                if msg.header.response && self.pending.remove(&msg.header.id) {
+                    self.responses.push((now, msg));
                 }
             }
-        }
+            true
+        });
         for ticket in self.tls.take_tickets() {
             self.session_out.tls_ticket = Some(ticket);
         }
         // TLS -> TCP. A dying socket (closed by the resilience layer,
         // or reset) no longer accepts data; drop the TLS output rather
         // than asserting.
-        let wire = self.tls.take_output();
-        if !wire.is_empty() && self.tcp.can_send() {
-            self.tcp.send(&wire);
-        }
-        let (local, remote) = (self.tcp.local, self.tcp.remote);
-        segments_to_packets(local, remote, self.tcp.poll(now), out);
+        let tcp = &mut self.tcp;
+        self.tls.take_output_with(|wire| {
+            if tcp.can_send() {
+                tcp.send(wire);
+            }
+        });
+        transmit(&mut self.tcp, now, out);
     }
 }
 
@@ -94,8 +92,8 @@ impl DnsClientConn for DoTClient {
     }
 
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {
-        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-            self.tcp.on_segment(now, &seg);
+        if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+            self.tcp.on_segment(now, seg);
         }
         if self.tcp.is_established() && !self.tls_started {
             self.tls_started = true;

@@ -10,13 +10,12 @@
 
 use crate::alpn::DoqAlpn;
 use crate::client::DnsTransport;
-use crate::doh::doh_response_parts;
 use crate::doq::{first_framed, send_doq_message};
 use crate::ports;
 use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message};
-use doqlab_netstack::http2::H2Connection;
+use doqlab_netstack::http2::{doh_response_headers, DecimalStr, H2Connection};
 use doqlab_netstack::quic::{QuicConfig, QuicServer};
-use doqlab_netstack::tcp::{TcpConfig, TcpListener, TcpSegment};
+use doqlab_netstack::tcp::{SegmentRef, TcpConfig, TcpListener};
 use doqlab_netstack::tls::{TlsConfig, TlsServer, TlsVersion};
 use doqlab_simnet::{Duration, Ipv4Addr, Packet, SimTime, SocketAddr, Transport};
 use std::collections::HashMap;
@@ -264,18 +263,18 @@ impl DnsServerSet {
                 }
             }
             (Transport::Tcp, ports::DNS) if self.cfg.supports_tcp => {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    self.tcp.on_segment(now, pkt.src, &seg);
+                if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+                    self.tcp.on_segment(now, pkt.src, seg);
                 }
             }
             (Transport::Tcp, ports::DOT) if self.cfg.supports_dot => {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    self.dot.on_segment(now, pkt.src, &seg);
+                if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+                    self.dot.on_segment(now, pkt.src, seg);
                 }
             }
             (Transport::Tcp, ports::HTTPS) if self.cfg.supports_doh => {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    self.doh.on_segment(now, pkt.src, &seg);
+                if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+                    self.doh.on_segment(now, pkt.src, seg);
                 }
             }
             _ => {}
@@ -292,18 +291,16 @@ impl DnsServerSet {
         out.append(&mut self.udp_out);
 
         // --- DoTCP ---
-        let mut tcp_events = Vec::new();
         for (&peer, sock) in self.tcp.connections() {
-            let data = sock.recv();
-            if data.is_empty() {
+            if !sock.has_rx_data() {
                 continue;
             }
             let reader = self.tcp_readers.entry(peer).or_default();
-            reader.push(&data);
-            while let Some(wire) = reader.next_message() {
-                if let Ok(query) = Message::decode(&wire) {
+            sock.recv_with(|data| reader.push(data));
+            reader.messages_with(|wire| {
+                if let Ok(query) = Message::decode(wire) {
                     if !query.header.response {
-                        tcp_events.push(ServerEvent {
+                        self.events.push(ServerEvent {
                             key: ConnKey::Tcp(peer),
                             transport: DnsTransport::DoTcp,
                             query,
@@ -311,9 +308,9 @@ impl DnsServerSet {
                         });
                     }
                 }
-            }
+                true
+            });
         }
-        self.events.append(&mut tcp_events);
         // Close DoTCP connections whose response has drained.
         self.tcp_closing
             .retain(|peer| match self.tcp.connection(*peer) {
@@ -324,13 +321,9 @@ impl DnsServerSet {
                 Some(_) => true,
                 None => false,
             });
-        for (peer, seg) in self.tcp.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.cfg.ip, ports::DNS),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+        let local = SocketAddr::new(self.cfg.ip, ports::DNS);
+        self.tcp
+            .poll_transmit_with(now, |peer, seg| out.push(Packet::tcp(local, peer, seg)));
         // Pooled clients redial from fresh source ports, so abandoned
         // connections accumulate forever unless reaped (after poll, so
         // owed ACKs are already flushed).
@@ -341,7 +334,6 @@ impl DnsServerSet {
         }
 
         // --- DoT ---
-        let mut dot_events = Vec::new();
         for (&peer, sock) in self.dot.connections() {
             let conn = self.dot_conns.entry(peer).or_insert_with(|| {
                 let tls = self
@@ -352,40 +344,28 @@ impl DnsServerSet {
                     reader: LengthPrefixedReader::new(),
                 }
             });
-            let data = sock.recv();
-            if !data.is_empty() {
-                conn.tls.read_wire(now, &data);
-            }
-            let mut plain = conn.tls.read_early();
-            plain.extend(conn.tls.read_app());
-            if !plain.is_empty() {
-                conn.reader.push(&plain);
-                while let Some(wire) = conn.reader.next_message() {
-                    if let Ok(query) = Message::decode(&wire) {
-                        if !query.header.response {
-                            dot_events.push(ServerEvent {
-                                key: ConnKey::Dot(peer),
-                                transport: DnsTransport::DoT,
-                                query,
-                                received_at: now,
-                            });
-                        }
+            let tls = &mut conn.tls;
+            sock.recv_with(|data| tls.read_wire(now, data));
+            let reader = &mut conn.reader;
+            conn.tls.read_app_with(|plain| reader.push(plain));
+            conn.reader.messages_with(|wire| {
+                if let Ok(query) = Message::decode(wire) {
+                    if !query.header.response {
+                        self.events.push(ServerEvent {
+                            key: ConnKey::Dot(peer),
+                            transport: DnsTransport::DoT,
+                            query,
+                            received_at: now,
+                        });
                     }
                 }
-            }
-            let wire = conn.tls.take_output();
-            if !wire.is_empty() {
-                sock.send(&wire);
-            }
+                true
+            });
+            conn.tls.take_output_with(|wire| sock.send(wire));
         }
-        self.events.append(&mut dot_events);
-        for (peer, seg) in self.dot.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.cfg.ip, ports::DOT),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+        let local = SocketAddr::new(self.cfg.ip, ports::DOT);
+        self.dot
+            .poll_transmit_with(now, |peer, seg| out.push(Packet::tcp(local, peer, seg)));
         self.dot.reap_quiescent();
         if self.dot_conns.len() > self.dot.len() {
             let dot = &self.dot;
@@ -393,7 +373,6 @@ impl DnsServerSet {
         }
 
         // --- DoH ---
-        let mut doh_events = Vec::new();
         for (&peer, sock) in self.doh.connections() {
             let conn = self.doh_conns.entry(peer).or_insert_with(|| {
                 let tls = self
@@ -404,19 +383,15 @@ impl DnsServerSet {
                     h2: H2Connection::server(),
                 }
             });
-            let data = sock.recv();
-            if !data.is_empty() {
-                conn.tls.read_wire(now, &data);
-            }
-            let mut plain = conn.tls.read_early();
-            plain.extend(conn.tls.read_app());
-            if !plain.is_empty() {
-                conn.h2.read_wire(&plain);
-            }
-            for req in conn.h2.take_messages() {
-                if let Ok(query) = Message::decode(&req.body) {
+            let tls = &mut conn.tls;
+            sock.recv_with(|data| tls.read_wire(now, data));
+            let h2 = &mut conn.h2;
+            conn.tls.read_app_with(|plain| h2.read_wire(plain));
+            let events = &mut self.events;
+            conn.h2.messages_with(|req| {
+                if let Ok(query) = Message::decode(req.body) {
                     if !query.header.response {
-                        doh_events.push(ServerEvent {
+                        events.push(ServerEvent {
                             key: ConnKey::Doh(peer, req.stream_id),
                             transport: DnsTransport::DoH,
                             query,
@@ -424,24 +399,14 @@ impl DnsServerSet {
                         });
                     }
                 }
-            }
-            let h2_out = conn.h2.take_output();
-            if !h2_out.is_empty() {
-                conn.tls.write_app(&h2_out);
-            }
-            let wire = conn.tls.take_output();
-            if !wire.is_empty() {
-                sock.send(&wire);
-            }
+            });
+            let tls = &mut conn.tls;
+            conn.h2.take_output_with(|h2_out| tls.write_app(h2_out));
+            conn.tls.take_output_with(|wire| sock.send(wire));
         }
-        self.events.append(&mut doh_events);
-        for (peer, seg) in self.doh.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.cfg.ip, ports::HTTPS),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+        let local = SocketAddr::new(self.cfg.ip, ports::HTTPS);
+        self.doh
+            .poll_transmit_with(now, |peer, seg| out.push(Packet::tcp(local, peer, seg)));
         self.doh.reap_quiescent();
         if self.doh_conns.len() > self.doh.len() {
             let doh = &self.doh;
@@ -449,7 +414,6 @@ impl DnsServerSet {
         }
 
         // --- DoQ ---
-        let mut doq_events = Vec::new();
         let ip = self.cfg.ip;
         for (port, server) in &mut self.doq {
             let Some(server) = server else { continue };
@@ -471,7 +435,7 @@ impl DnsServerSet {
                     if let Some(wire) = wire {
                         if let Ok(query) = Message::decode(wire) {
                             if !query.header.response {
-                                doq_events.push(ServerEvent {
+                                self.events.push(ServerEvent {
                                     key: ConnKey::Doq {
                                         peer,
                                         port: *port,
@@ -496,11 +460,9 @@ impl DnsServerSet {
             // accumulate.
             server.reap();
         }
-        self.events.append(&mut doq_events);
 
         // --- DoH3 (future work) ---
         if let Some(server) = &mut self.doh3 {
-            let mut doh3_events = Vec::new();
             for (&peer, conn) in server.connections() {
                 for stream in conn.take_new_peer_streams() {
                     // Unidirectional peer streams (control/QPACK) are
@@ -522,7 +484,7 @@ impl DnsServerSet {
                         if let Some(req) = doqlab_netstack::http3::H3Message::decode(buf) {
                             if let Ok(query) = Message::decode(&req.body) {
                                 if !query.header.response {
-                                    doh3_events.push(ServerEvent {
+                                    self.events.push(ServerEvent {
                                         key: ConnKey::Doh3 { peer, stream },
                                         transport: DnsTransport::DoH3,
                                         query,
@@ -539,21 +501,15 @@ impl DnsServerSet {
             server.poll_transmit_with(now, |peer, dgram| {
                 out.push(Packet::udp(local, peer, dgram));
             });
-            self.events.append(&mut doh3_events);
         }
 
         // RFC 6891 §6.1.3: a query asking for an EDNS version we do not
         // implement gets BADVERS straight back instead of being handed
         // to the resolver for a normal answer. Applies uniformly to
         // every transport, so the check sits after all of them.
-        let bad: Vec<ServerEvent> = {
-            let (bad, ok) = std::mem::take(&mut self.events)
-                .into_iter()
-                .partition(|ev| ev.query.edns_version().is_some_and(|v| v != 0));
-            self.events = ok;
-            bad
-        };
-        if !bad.is_empty() {
+        let is_bad = |ev: &ServerEvent| ev.query.edns_version().is_some_and(|v| v != 0);
+        if self.events.iter().any(is_bad) {
+            let bad: Vec<ServerEvent> = self.events.extract_if(.., |ev| is_bad(ev)).collect();
             for ev in bad {
                 let resp = Message::badvers_response_to(&ev.query);
                 self.respond(now, ev.key, &resp);
@@ -596,7 +552,8 @@ impl DnsServerSet {
                     } else {
                         msg.encode()
                     };
-                    sock.send(&framing::frame(&wire));
+                    sock.send(&framing::prefix(&wire));
+                    sock.send(&wire);
                     if self.cfg.close_tcp_after_response && !self.cfg.tcp_keepalive {
                         self.tcp_closing.push(peer);
                     }
@@ -609,12 +566,10 @@ impl DnsServerSet {
             }
             ConnKey::Doh(peer, stream) => {
                 if let Some(conn) = self.doh_conns.get_mut(&peer) {
-                    let (headers, body) = doh_response_parts(msg);
-                    let refs: Vec<(&str, &str)> = headers
-                        .iter()
-                        .map(|(n, v)| (n.as_str(), v.as_str()))
-                        .collect();
-                    conn.h2.send_response(stream, &refs, &body);
+                    let body = msg.encode();
+                    let len = DecimalStr::new(body.len());
+                    conn.h2
+                        .send_response(stream, &doh_response_headers(len.as_str()), &body);
                 }
             }
             ConnKey::Doh3 { peer, stream } => {

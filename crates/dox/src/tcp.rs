@@ -9,7 +9,7 @@
 
 use crate::client::{ClientConfig, DnsClientConn, FailureKind, SessionState};
 use doqlab_dnswire::{framing, EdnsOption, LengthPrefixedReader, Message};
-use doqlab_netstack::tcp::{TcpConfig, TcpFailure, TcpSegment, TcpSocket};
+use doqlab_netstack::tcp::{SegmentRef, TcpConfig, TcpFailure, TcpSocket};
 use doqlab_simnet::{Packet, SimRng, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use std::collections::HashSet;
@@ -31,16 +31,10 @@ pub(crate) fn classify_tcp_failure(tcp: &TcpSocket) -> Option<FailureKind> {
     })
 }
 
-/// Convert TCP segments to simulator packets.
-pub(crate) fn segments_to_packets(
-    local: SocketAddr,
-    remote: SocketAddr,
-    segs: Vec<TcpSegment>,
-    out: &mut Vec<Packet>,
-) {
-    for seg in segs {
-        out.push(Packet::tcp(local, remote, seg.encode_payload()));
-    }
+/// Write the socket's due segments straight into packets.
+pub(crate) fn transmit(tcp: &mut TcpSocket, now: SimTime, out: &mut Vec<Packet>) {
+    let (local, remote) = (tcp.local, tcp.remote);
+    tcp.poll_transmit_with(now, |seg| out.push(Packet::tcp(local, remote, seg)));
 }
 
 /// A DoTCP client connection.
@@ -90,32 +84,30 @@ impl DoTcpClient {
     }
 
     fn pump(&mut self, now: SimTime, out: &mut Vec<Packet>) {
-        let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.reader.push(&data);
-            while let Some(wire) = self.reader.next_message() {
-                if let Ok(msg) = Message::decode(&wire) {
-                    if msg.header.response && self.pending.remove(&msg.header.id) {
-                        if self.keepalive.is_none() {
-                            let granted = msg.opt().and_then(|o| match o.tcp_keepalive() {
-                                Some(EdnsOption::TcpKeepalive(Some(t))) => Some(*t),
-                                _ => None,
-                            });
-                            if let Some(t) = granted {
-                                // The resolver honors RFC 7828: keep the
-                                // connection instead of redialing per
-                                // query. Counted once per connection.
-                                self.keepalive = Some(t);
-                                metrics::count(Counter::KeepaliveHonored, 1);
-                            }
+        let reader = &mut self.reader;
+        self.tcp.recv_with(|data| reader.push(data));
+        self.reader.messages_with(|wire| {
+            if let Ok(msg) = Message::decode(wire) {
+                if msg.header.response && self.pending.remove(&msg.header.id) {
+                    if self.keepalive.is_none() {
+                        let granted = msg.opt().and_then(|o| match o.tcp_keepalive() {
+                            Some(EdnsOption::TcpKeepalive(Some(t))) => Some(*t),
+                            _ => None,
+                        });
+                        if let Some(t) = granted {
+                            // The resolver honors RFC 7828: keep the
+                            // connection instead of redialing per
+                            // query. Counted once per connection.
+                            self.keepalive = Some(t);
+                            metrics::count(Counter::KeepaliveHonored, 1);
                         }
-                        self.responses.push((now, msg));
                     }
+                    self.responses.push((now, msg));
                 }
             }
-        }
-        let (local, remote) = (self.tcp.local, self.tcp.remote);
-        segments_to_packets(local, remote, self.tcp.poll(now), out);
+            true
+        });
+        transmit(&mut self.tcp, now, out);
     }
 }
 
@@ -140,12 +132,13 @@ impl DnsClientConn for DoTcpClient {
         } else {
             msg.encode()
         };
-        self.tcp.send(&framing::frame(&wire));
+        self.tcp.send(&framing::prefix(&wire));
+        self.tcp.send(&wire);
     }
 
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {
-        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-            self.tcp.on_segment(now, &seg);
+        if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+            self.tcp.on_segment(now, seg);
         }
         self.pump(now, out);
     }
@@ -191,7 +184,7 @@ impl DnsClientConn for DoTcpClient {
 mod tests {
     use super::*;
     use doqlab_dnswire::{Name, RecordType};
-    use doqlab_netstack::tcp::TcpListener;
+    use doqlab_netstack::tcp::{TcpListener, TcpSegment};
     use doqlab_simnet::Ipv4Addr;
 
     fn sa(h: u8, p: u16) -> SocketAddr {
@@ -210,8 +203,8 @@ mod tests {
             let to_server = std::mem::take(&mut out);
             now += doqlab_simnet::Duration::from_millis(5);
             for pkt in to_server {
-                if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                    listener.on_segment(now, client_addr, &seg);
+                if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+                    listener.on_segment(now, client_addr, seg);
                 }
             }
             // Server DNS logic: respond to any framed query.
@@ -238,12 +231,10 @@ mod tests {
             // Deliver server -> client.
             now += doqlab_simnet::Duration::from_millis(5);
             let mut segs = Vec::new();
-            for (_, seg) in listener.poll(now) {
-                segs.push(seg);
-            }
+            listener.poll_transmit_with(now, |_, seg| segs.push(seg));
             let mut done = segs.is_empty();
             for seg in segs {
-                let pkt = Packet::tcp(sa(2, 53), client_addr, seg.encode_payload());
+                let pkt = Packet::tcp(sa(2, 53), client_addr, seg);
                 client.on_packet(now, &pkt, &mut out);
             }
             client.poll(now, &mut out);

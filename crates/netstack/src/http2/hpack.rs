@@ -115,25 +115,45 @@ fn encode_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn decode_string(buf: &[u8], pos: &mut usize) -> Option<String> {
+fn decode_string<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
     let huffman = buf.get(*pos)? & 0x80 != 0;
-    let len = decode_int(buf, pos, 7)? as usize;
+    let len = usize::try_from(decode_int(buf, pos, 7)?).ok()?;
     if huffman {
         return None; // we never emit Huffman
     }
-    let bytes = buf.get(*pos..*pos + len)?;
+    let bytes = buf.get(*pos..pos.checked_add(len)?)?;
     *pos += len;
-    String::from_utf8(bytes.to_vec()).ok()
+    std::str::from_utf8(bytes).ok()
 }
 
-/// Entry size per RFC 7541 §4.1.
-fn entry_size(name: &str, value: &str) -> usize {
-    name.len() + value.len() + 32
+/// Per-entry overhead in the table size (RFC 7541 §4.1).
+const ENTRY_OVERHEAD: usize = 32;
+
+/// The header table size we advertise in SETTINGS
+/// (SETTINGS_HEADER_TABLE_SIZE); a peer may not ask the decoder for a
+/// larger dynamic table (RFC 7541 §6.3).
+pub(crate) const MAX_TABLE_SIZE: usize = 4096;
+
+/// Where a field name comes from: a string that outlives the table
+/// update (static table or header block), or a dynamic-table entry.
+#[derive(Clone, Copy)]
+enum NameRef<'a> {
+    Str(&'a str),
+    Dynamic(usize),
 }
 
+/// The dynamic table, stored flat: every name and value back to back in
+/// one string, and per entry its offset and lengths. Evicted entries
+/// leave their bytes behind until the dead prefix is compacted away, so
+/// a new entry may reuse the name of an entry it evicts (RFC 7541
+/// §4.4) and steady-state inserts do not allocate.
 #[derive(Debug)]
 struct DynamicTable {
-    entries: std::collections::VecDeque<(String, String)>,
+    text: String,
+    /// Leading bytes of `text` that belong to evicted entries.
+    dead: usize,
+    /// (offset into `text`, name length, value length), newest first.
+    entries: std::collections::VecDeque<(usize, usize, usize)>,
     size: usize,
     max_size: usize,
 }
@@ -141,41 +161,93 @@ struct DynamicTable {
 impl DynamicTable {
     fn new() -> Self {
         DynamicTable {
+            text: String::new(),
+            dead: 0,
             entries: std::collections::VecDeque::new(),
             size: 0,
-            max_size: 4096,
+            max_size: MAX_TABLE_SIZE,
         }
     }
 
-    fn insert(&mut self, name: String, value: String) {
-        self.size += entry_size(&name, &value);
-        self.entries.push_front((name, value));
-        while self.size > self.max_size {
-            if let Some((n, v)) = self.entries.pop_back() {
-                self.size -= entry_size(&n, &v);
-            } else {
-                break;
+    /// Entry `i`, 0 being the newest.
+    fn entry(&self, i: usize) -> Option<(&str, &str)> {
+        let &(at, name_len, value_len) = self.entries.get(i)?;
+        let name = &self.text[at..at + name_len];
+        Some((name, &self.text[at + name_len..at + name_len + value_len]))
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (&str, &str)> {
+        (0..self.entries.len()).filter_map(|i| self.entry(i))
+    }
+
+    /// Entry at absolute HPACK index `index`.
+    fn get(&self, index: usize) -> Option<(&str, &str)> {
+        self.entry(index.checked_sub(STATIC_TABLE.len() + 1)?)
+    }
+
+    fn name<'a>(&'a self, name: NameRef<'a>) -> Option<&'a str> {
+        match name {
+            NameRef::Str(s) => Some(s),
+            NameRef::Dynamic(index) => Some(self.get(index)?.0),
+        }
+    }
+
+    fn insert(&mut self, name: NameRef<'_>, value: &str) {
+        if self.entries.is_empty() {
+            // Size a fresh table for a typical message's fields at once.
+            self.text.reserve(256);
+            self.entries.reserve(8);
+        }
+        let at = self.text.len();
+        match name {
+            NameRef::Str(s) => self.text.push_str(s),
+            NameRef::Dynamic(index) => {
+                let Some(&(from, len, _)) = self.entries.get(index - STATIC_TABLE.len() - 1) else {
+                    return;
+                };
+                self.text.extend_from_within(from..from + len);
             }
+        }
+        let name_len = self.text.len() - at;
+        self.text.push_str(value);
+        self.size += name_len + value.len() + ENTRY_OVERHEAD;
+        self.entries.push_front((at, name_len, value.len()));
+        self.evict();
+    }
+
+    /// Drop the oldest entries until the table fits `max_size`, and
+    /// compact the text once the evicted bytes outweigh the live ones.
+    fn evict(&mut self) {
+        while self.size > self.max_size {
+            let Some((at, name_len, value_len)) = self.entries.pop_back() else {
+                break;
+            };
+            self.size -= name_len + value_len + ENTRY_OVERHEAD;
+            self.dead = at + name_len + value_len;
+        }
+        if self.entries.is_empty() {
+            self.text.clear();
+            self.dead = 0;
+        } else if self.dead > self.text.len() / 2 {
+            self.text.drain(..self.dead);
+            for entry in &mut self.entries {
+                entry.0 -= self.dead;
+            }
+            self.dead = 0;
         }
     }
 
     /// Absolute HPACK index of an exact (name, value) match.
     fn find(&self, name: &str, value: &str) -> Option<usize> {
-        self.entries
-            .iter()
+        self.entries()
             .position(|(n, v)| n == name && v == value)
             .map(|i| STATIC_TABLE.len() + 1 + i)
     }
 
     fn find_name(&self, name: &str) -> Option<usize> {
-        self.entries
-            .iter()
+        self.entries()
             .position(|(n, _)| n == name)
             .map(|i| STATIC_TABLE.len() + 1 + i)
-    }
-
-    fn get(&self, index: usize) -> Option<(String, String)> {
-        self.entries.get(index - STATIC_TABLE.len() - 1).cloned()
     }
 }
 
@@ -193,15 +265,23 @@ fn static_find_name(name: &str) -> Option<usize> {
         .map(|i| i + 1)
 }
 
-fn table_get(dynamic: &DynamicTable, index: usize) -> Option<(String, String)> {
-    if index == 0 {
-        return None;
+/// The field at absolute HPACK index `index`; static hits borrow the
+/// static table.
+fn table_get(dynamic: &DynamicTable, index: usize) -> Option<(&str, &str)> {
+    match index {
+        0 => None,
+        i if i <= STATIC_TABLE.len() => Some(STATIC_TABLE[i - 1]),
+        i => dynamic.get(i),
     }
-    if index <= STATIC_TABLE.len() {
-        let (n, v) = STATIC_TABLE[index - 1];
-        Some((n.to_string(), v.to_string()))
-    } else {
-        dynamic.get(index)
+}
+
+/// The name at absolute HPACK index `index`, as a reference that stays
+/// valid across an insert.
+fn name_ref(dynamic: &DynamicTable, index: usize) -> Option<NameRef<'static>> {
+    match index {
+        0 => None,
+        i if i <= STATIC_TABLE.len() => Some(NameRef::Str(STATIC_TABLE[i - 1].0)),
+        i => dynamic.get(i).map(|_| NameRef::Dynamic(i)),
     }
 }
 
@@ -226,25 +306,30 @@ impl HpackEncoder {
 
     pub fn encode(&mut self, headers: &[(&str, &str)]) -> Vec<u8> {
         let mut out = Vec::new();
-        for (name, value) in headers {
+        self.encode_into(headers, &mut out);
+        out
+    }
+
+    /// Append the header block for `headers` to `out`.
+    pub fn encode_into(&mut self, headers: &[(&str, &str)], out: &mut Vec<u8>) {
+        for &(name, value) in headers {
             // Fully indexed?
             if let Some(idx) = static_find(name, value).or_else(|| self.dynamic.find(name, value)) {
-                encode_int(&mut out, 0x80, 7, idx as u64);
+                encode_int(out, 0x80, 7, idx as u64);
                 continue;
             }
             // Literal with incremental indexing; name indexed if known.
             let name_idx = static_find_name(name).or_else(|| self.dynamic.find_name(name));
             match name_idx {
-                Some(idx) => encode_int(&mut out, 0x40, 6, idx as u64),
+                Some(idx) => encode_int(out, 0x40, 6, idx as u64),
                 None => {
-                    encode_int(&mut out, 0x40, 6, 0);
-                    encode_string(&mut out, name);
+                    encode_int(out, 0x40, 6, 0);
+                    encode_string(out, name);
                 }
             }
-            encode_string(&mut out, value);
-            self.dynamic.insert(name.to_string(), value.to_string());
+            encode_string(out, value);
+            self.dynamic.insert(NameRef::Str(name), value);
         }
-        out
     }
 }
 
@@ -269,41 +354,50 @@ impl HpackDecoder {
 
     pub fn decode(&mut self, block: &[u8]) -> Option<Vec<(String, String)>> {
         let mut headers = Vec::new();
+        self.decode_with(block, |n, v| headers.push((n.to_string(), v.to_string())))?;
+        Some(headers)
+    }
+
+    /// Decode `block`, handing each field to `field` as it is decoded;
+    /// `None` on a malformed block (fields before the fault were
+    /// already handed out). Names and values borrow the static table,
+    /// the dynamic table or the block.
+    pub fn decode_with(&mut self, block: &[u8], mut field: impl FnMut(&str, &str)) -> Option<()> {
         let mut pos = 0;
-        while pos < block.len() {
-            let b = block[pos];
+        while let Some(&b) = block.get(pos) {
             if b & 0x80 != 0 {
                 // Indexed header field.
-                let idx = decode_int(block, &mut pos, 7)? as usize;
-                headers.push(table_get(&self.dynamic, idx)?);
-            } else if b & 0x40 != 0 {
-                // Literal with incremental indexing.
-                let idx = decode_int(block, &mut pos, 6)? as usize;
-                let name = if idx == 0 {
-                    decode_string(block, &mut pos)?
-                } else {
-                    table_get(&self.dynamic, idx)?.0
-                };
-                let value = decode_string(block, &mut pos)?;
-                self.dynamic.insert(name.clone(), value.clone());
-                headers.push((name, value));
-            } else if b & 0x20 != 0 {
-                // Dynamic table size update.
-                let size = decode_int(block, &mut pos, 5)? as usize;
+                let idx = usize::try_from(decode_int(block, &mut pos, 7)?).ok()?;
+                let (name, value) = table_get(&self.dynamic, idx)?;
+                field(name, value);
+            } else if b & 0x20 != 0 && b & 0x40 == 0 {
+                // Dynamic table size update: evict down to the new size
+                // now; more than we advertised is a decoding error.
+                let size = usize::try_from(decode_int(block, &mut pos, 5)?).ok()?;
+                if size > MAX_TABLE_SIZE {
+                    return None;
+                }
                 self.dynamic.max_size = size;
+                self.dynamic.evict();
             } else {
-                // Literal without indexing / never indexed (4-bit prefix).
-                let idx = decode_int(block, &mut pos, 4)? as usize;
+                // Literal: with incremental indexing (6-bit prefix), or
+                // without indexing / never indexed (4-bit prefix).
+                let indexing = b & 0x40 != 0;
+                let prefix = if indexing { 6 } else { 4 };
+                let idx = usize::try_from(decode_int(block, &mut pos, prefix)?).ok()?;
                 let name = if idx == 0 {
-                    decode_string(block, &mut pos)?
+                    NameRef::Str(decode_string(block, &mut pos)?)
                 } else {
-                    table_get(&self.dynamic, idx)?.0
+                    name_ref(&self.dynamic, idx)?
                 };
                 let value = decode_string(block, &mut pos)?;
-                headers.push((name, value));
+                field(self.dynamic.name(name)?, value);
+                if indexing {
+                    self.dynamic.insert(name, value);
+                }
             }
         }
-        Some(headers)
+        Some(())
     }
 }
 
@@ -422,6 +516,83 @@ mod tests {
         let block = enc.encode(&[(":authority", "dns.example.net")]);
         let mut dec = HpackDecoder::new();
         assert!(dec.decode(&block[..block.len() - 1]).is_none());
+    }
+
+    /// A size-update instruction (RFC 7541 §6.3) for `size`.
+    fn size_update(size: u64) -> Vec<u8> {
+        let mut block = Vec::new();
+        encode_int(&mut block, 0x20, 5, size);
+        block
+    }
+
+    #[test]
+    fn size_update_to_zero_evicts_at_once() {
+        let mut enc = HpackEncoder::new();
+        let mut dec = HpackDecoder::new();
+        let first = enc.encode(&[("x-entry", "value")]);
+        assert_eq!(
+            dec.decode(&first).unwrap(),
+            to_owned(&[("x-entry", "value")])
+        );
+        // Index 62 is the entry just inserted ...
+        let mut indexed = Vec::new();
+        encode_int(&mut indexed, 0x80, 7, 62);
+        assert!(dec.decode(&indexed).is_some());
+        // ... until a size update to 0 empties the table.
+        let mut block = size_update(0);
+        block.extend_from_slice(&indexed);
+        assert!(dec.decode(&block).is_none());
+        assert_eq!(dec.dynamic.size, 0);
+        assert!(dec.decode(&indexed).is_none());
+    }
+
+    #[test]
+    fn size_update_above_the_advertised_size_is_rejected() {
+        let mut dec = HpackDecoder::new();
+        assert!(dec.decode(&size_update(1_000_000)).is_none());
+        assert!(dec
+            .decode(&size_update(MAX_TABLE_SIZE as u64 + 1))
+            .is_none());
+        assert_eq!(
+            dec.decode(&size_update(MAX_TABLE_SIZE as u64)),
+            Some(vec![])
+        );
+        assert_eq!(dec.dynamic.max_size, MAX_TABLE_SIZE);
+    }
+
+    #[test]
+    fn a_shrunk_table_keeps_only_what_fits() {
+        let mut enc = HpackEncoder::new();
+        let mut dec = HpackDecoder::new();
+        let headers = [("x-a", "1"), ("x-b", "2"), ("x-c", "3")];
+        dec.decode(&enc.encode(&headers)).unwrap();
+        // Each entry is 3 + 1 + 32 = 36 bytes: room for the newest one.
+        dec.decode(&size_update(40)).unwrap();
+        let mut block = Vec::new();
+        encode_int(&mut block, 0x80, 7, 62);
+        assert_eq!(dec.decode(&block).unwrap(), to_owned(&[("x-c", "3")]));
+        encode_int(&mut block, 0x80, 7, 63);
+        assert!(dec.decode(&block).is_none());
+    }
+
+    #[test]
+    fn a_new_entry_may_name_the_entry_it_evicts() {
+        // Table room for one 40-byte entry: inserting a literal whose
+        // name is indexed from the entry being evicted must still work
+        // (RFC 7541 §4.4).
+        let mut dec = HpackDecoder::new();
+        dec.decode(&size_update(45)).unwrap();
+        let mut block = Vec::new();
+        encode_int(&mut block, 0x40, 6, 0);
+        encode_string(&mut block, "x-name");
+        encode_string(&mut block, "a");
+        encode_int(&mut block, 0x40, 6, 62);
+        encode_string(&mut block, "b");
+        encode_int(&mut block, 0x80, 7, 62);
+        assert_eq!(
+            dec.decode(&block).unwrap(),
+            to_owned(&[("x-name", "a"), ("x-name", "b"), ("x-name", "b")])
+        );
     }
 
     #[test]

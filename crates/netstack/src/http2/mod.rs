@@ -14,15 +14,96 @@
 mod frame;
 mod hpack;
 
-pub use frame::{H2Frame, H2FrameType};
+pub use frame::{H2Frame, H2FrameRef, H2FrameType};
 pub use hpack::{HpackDecoder, HpackEncoder};
 
-use std::collections::HashMap;
+use crate::tls::messages::reassemble;
+use frame::{
+    write_data, write_frame, write_goaway, write_headers, write_settings, FLAG_ACK,
+    FRAME_HEADER_LEN, SETTINGS_FRAME_LEN,
+};
 
 /// The 24-byte client connection preface.
 pub const PREFACE: &[u8] = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";
 
-/// One HTTP message (request or response) assembled from frames.
+/// A decoded header list stored flat: the names and values back to back
+/// in one string, with the end offset of each.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HeaderList {
+    text: String,
+    /// (end of name, end of value) per field, in order.
+    ends: Vec<(usize, usize)>,
+}
+
+impl HeaderList {
+    pub(crate) fn push(&mut self, name: &str, value: &str) {
+        if self.ends.is_empty() {
+            // Size a fresh list for a typical message at once.
+            self.text.reserve(256);
+            self.ends.reserve(8);
+        }
+        self.text.push_str(name);
+        let name_end = self.text.len();
+        self.text.push_str(value);
+        self.ends.push((name_end, self.text.len()));
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|&(_, v)| v));
+        starts.zip(&self.ends).map(|(start, &(name_end, end))| {
+            (&self.text[start..name_end], &self.text[name_end..end])
+        })
+    }
+
+    /// The first value of header `name` (case-insensitive).
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v)
+    }
+
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+}
+
+/// One HTTP message (request or response) assembled from frames,
+/// borrowed from the connection that received it.
+#[derive(Debug, Clone, Copy)]
+pub struct H2MessageRef<'a> {
+    pub stream_id: u32,
+    pub headers: &'a HeaderList,
+    pub body: &'a [u8],
+}
+
+impl<'a> H2MessageRef<'a> {
+    pub fn header(&self, name: &str) -> Option<&'a str> {
+        self.headers.get(name)
+    }
+
+    pub fn to_owned(self) -> H2Message {
+        H2Message {
+            stream_id: self.stream_id,
+            headers: self
+                .headers
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.to_string()))
+                .collect(),
+            body: self.body.to_vec(),
+        }
+    }
+}
+
+/// One owned HTTP message: a convenience over [`H2MessageRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct H2Message {
     pub stream_id: u32,
@@ -45,40 +126,58 @@ enum Role {
     Server,
 }
 
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Slot {
+    /// Free for the next stream.
+    #[default]
+    Free,
+    /// Receiving.
+    Open,
+    /// Complete; the number orders completions.
+    Done(u64),
+}
+
 #[derive(Debug, Default)]
 struct StreamAssembly {
-    headers: Vec<(String, String)>,
+    slot: Slot,
+    stream_id: u32,
+    headers: HeaderList,
     body: Vec<u8>,
-    headers_done: bool,
 }
 
 /// An HTTP/2 connection endpoint (sans-I/O byte-stream interface).
+/// Frames are written in place into the output buffer and parsed by
+/// borrowing from the received bytes; a stream's header list and body
+/// are reused by a later stream once its message is handed out.
 #[derive(Debug)]
 pub struct H2Connection {
     role: Role,
     out: Vec<u8>,
+    /// Incomplete frame carried over between reads.
     in_buf: Vec<u8>,
     preface_seen: bool,
     settings_acked: bool,
     next_stream_id: u32,
     encoder: HpackEncoder,
     decoder: HpackDecoder,
-    assembling: HashMap<u32, StreamAssembly>,
-    complete: Vec<H2Message>,
+    /// Open, complete and free stream assemblies.
+    streams: Vec<StreamAssembly>,
+    completed: u64,
     goaway: bool,
 }
 
 impl H2Connection {
     pub fn client() -> Self {
         let mut c = Self::new(Role::Client);
+        c.out.reserve(PREFACE.len() + SETTINGS_FRAME_LEN);
         c.out.extend_from_slice(PREFACE);
-        c.out.extend_from_slice(&H2Frame::settings(false).encode());
+        write_settings(&mut c.out, false);
         c
     }
 
     pub fn server() -> Self {
         let mut s = Self::new(Role::Server);
-        s.out.extend_from_slice(&H2Frame::settings(false).encode());
+        write_settings(&mut s.out, false);
         s
     }
 
@@ -92,8 +191,8 @@ impl H2Connection {
             next_stream_id: 1,
             encoder: HpackEncoder::new(),
             decoder: HpackDecoder::new(),
-            assembling: HashMap::new(),
-            complete: Vec::new(),
+            streams: Vec::new(),
+            completed: 0,
             goaway: false,
         }
     }
@@ -114,66 +213,88 @@ impl H2Connection {
     }
 
     fn send_message(&mut self, id: u32, headers: &[(&str, &str)], body: &[u8]) {
-        let block = self.encoder.encode(headers);
-        let end_stream = body.is_empty();
+        // One reservation for the whole message: the header block is at
+        // most its literal size plus a few prefix bytes per field.
+        let block: usize = headers.iter().map(|(n, v)| n.len() + v.len() + 8).sum();
+        let data_frames = body.len().div_ceil(16_384);
         self.out
-            .extend_from_slice(&H2Frame::headers(id, block, end_stream).encode());
-        if !body.is_empty() {
-            // DATA frames up to 16 KiB (the default max frame size).
-            let chunks: Vec<&[u8]> = body.chunks(16_384).collect();
-            for (i, chunk) in chunks.iter().enumerate() {
-                let last = i == chunks.len() - 1;
-                self.out
-                    .extend_from_slice(&H2Frame::data(id, chunk.to_vec(), last).encode());
-            }
-        }
+            .reserve(FRAME_HEADER_LEN * (1 + data_frames) + block + body.len());
+        let encoder = &mut self.encoder;
+        write_headers(&mut self.out, id, body.is_empty(), |out| {
+            encoder.encode_into(headers, out)
+        });
+        write_data(&mut self.out, id, body);
     }
 
     /// Feed received bytes; complete messages appear via
-    /// [`H2Connection::take_messages`].
+    /// [`H2Connection::messages_with`] or [`H2Connection::take_messages`].
     pub fn read_wire(&mut self, data: &[u8]) {
-        self.in_buf.extend_from_slice(data);
-        if !self.preface_seen {
-            if self.in_buf.len() < PREFACE.len() {
-                return;
+        let mut pending = std::mem::take(&mut self.in_buf);
+        reassemble(&mut pending, data, |rest| {
+            if !self.preface_seen {
+                // Tolerant: any 24 bytes are accepted as the preface (we
+                // never interoperate with non-doqlab peers).
+                if rest.len() < PREFACE.len() {
+                    return None;
+                }
+                self.preface_seen = true;
+                return Some(PREFACE.len());
             }
-            // Tolerant: any 24 bytes are accepted as the preface (we
-            // never interoperate with non-doqlab peers).
-            self.in_buf.drain(..PREFACE.len());
-            self.preface_seen = true;
-        }
-        while let Some((frame, used)) = H2Frame::decode(&self.in_buf) {
-            self.in_buf.drain(..used);
+            let (frame, used) = H2FrameRef::decode(rest)?;
             self.on_frame(frame);
-        }
+            Some(used)
+        });
+        self.in_buf = pending;
     }
 
-    fn on_frame(&mut self, frame: H2Frame) {
+    /// The assembly for `stream_id` in `streams`, opened if new.
+    fn stream(streams: &mut Vec<StreamAssembly>, stream_id: u32) -> &mut StreamAssembly {
+        let i = match streams
+            .iter()
+            .position(|a| a.slot == Slot::Open && a.stream_id == stream_id)
+        {
+            Some(i) => i,
+            None => match streams.iter().position(|a| a.slot == Slot::Free) {
+                Some(i) => i,
+                None => {
+                    streams.push(StreamAssembly::default());
+                    streams.len() - 1
+                }
+            },
+        };
+        let asm = &mut streams[i];
+        asm.slot = Slot::Open;
+        asm.stream_id = stream_id;
+        asm
+    }
+
+    fn on_frame(&mut self, frame: H2FrameRef<'_>) {
         match frame.ftype {
             H2FrameType::Settings => {
                 if !frame.flags_ack() {
-                    self.out
-                        .extend_from_slice(&H2Frame::settings(true).encode());
+                    write_settings(&mut self.out, true);
                 } else {
                     self.settings_acked = true;
                 }
             }
             H2FrameType::Headers => {
-                let end = frame.flags_end_stream();
-                if let Some(headers) = self.decoder.decode(&frame.payload) {
-                    let entry = self.assembling.entry(frame.stream_id).or_default();
-                    entry.headers = headers;
-                    entry.headers_done = true;
-                } else {
-                    self.assembling.entry(frame.stream_id).or_default();
+                let headers = &mut Self::stream(&mut self.streams, frame.stream_id).headers;
+                headers.clear();
+                if self
+                    .decoder
+                    .decode_with(frame.payload, |n, v| headers.push(n, v))
+                    .is_none()
+                {
+                    headers.clear();
                 }
-                if end {
+                if frame.flags_end_stream() {
                     self.finish_stream(frame.stream_id);
                 }
             }
             H2FrameType::Data => {
-                let entry = self.assembling.entry(frame.stream_id).or_default();
-                entry.body.extend_from_slice(&frame.payload);
+                Self::stream(&mut self.streams, frame.stream_id)
+                    .body
+                    .extend_from_slice(frame.payload);
                 if frame.flags_end_stream() {
                     self.finish_stream(frame.stream_id);
                 }
@@ -181,32 +302,61 @@ impl H2Connection {
             H2FrameType::GoAway => self.goaway = true,
             H2FrameType::Ping => {
                 if !frame.flags_ack() {
-                    self.out
-                        .extend_from_slice(&H2Frame::ping_ack(frame.payload.clone()).encode());
+                    write_frame(&mut self.out, H2FrameType::Ping, FLAG_ACK, 0, frame.payload);
                 }
             }
             H2FrameType::WindowUpdate | H2FrameType::RstStream | H2FrameType::Other(_) => {}
         }
     }
 
-    fn finish_stream(&mut self, id: u32) {
-        if let Some(asm) = self.assembling.remove(&id) {
-            self.complete.push(H2Message {
-                stream_id: id,
-                headers: asm.headers,
-                body: asm.body,
+    fn finish_stream(&mut self, stream_id: u32) {
+        Self::stream(&mut self.streams, stream_id).slot = Slot::Done(self.completed);
+        self.completed += 1;
+    }
+
+    /// Hand each completed request (server) or response (client) to
+    /// `each`, in completion order; their buffers are then reused.
+    pub fn messages_with(&mut self, mut each: impl FnMut(H2MessageRef<'_>)) {
+        loop {
+            let next = self
+                .streams
+                .iter_mut()
+                .filter_map(|a| match a.slot {
+                    Slot::Done(n) => Some((n, a)),
+                    _ => None,
+                })
+                .min_by_key(|(n, _)| *n);
+            let Some((_, asm)) = next else { return };
+            each(H2MessageRef {
+                stream_id: asm.stream_id,
+                headers: &asm.headers,
+                body: &asm.body,
             });
+            asm.headers.clear();
+            asm.body.clear();
+            asm.slot = Slot::Free;
         }
     }
 
     /// Completed requests (server) or responses (client).
     pub fn take_messages(&mut self) -> Vec<H2Message> {
-        std::mem::take(&mut self.complete)
+        let mut out = Vec::new();
+        self.messages_with(|m| out.push(m.to_owned()));
+        out
     }
 
     /// Bytes to hand to the transport.
     pub fn take_output(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.out)
+    }
+
+    /// Hand the bytes to transmit to `write` (e.g. a TLS engine's
+    /// `write_app`), then drop them; the buffer keeps its capacity.
+    pub fn take_output_with(&mut self, write: impl FnOnce(&[u8])) {
+        if !self.out.is_empty() {
+            write(&self.out);
+            self.out.clear();
+        }
     }
 
     pub fn received_goaway(&self) -> bool {
@@ -215,30 +365,61 @@ impl H2Connection {
 
     /// Send GOAWAY (graceful shutdown).
     pub fn go_away(&mut self) {
-        self.out.extend_from_slice(&H2Frame::goaway().encode());
+        write_goaway(&mut self.out);
     }
 }
 
-/// The standard DoH request headers (RFC 8484 §4.1, POST style).
-pub fn doh_request_headers(authority: &str, body_len: usize) -> Vec<(String, String)> {
-    vec![
-        (":method".into(), "POST".into()),
-        (":scheme".into(), "https".into()),
-        (":authority".into(), authority.into()),
-        (":path".into(), "/dns-query".into()),
-        ("accept".into(), "application/dns-message".into()),
-        ("content-type".into(), "application/dns-message".into()),
-        ("content-length".into(), body_len.to_string()),
+/// A `usize` formatted in decimal on the stack, for `content-length`.
+#[derive(Debug, Clone, Copy)]
+pub struct DecimalStr {
+    buf: [u8; 20],
+    start: usize,
+}
+
+impl DecimalStr {
+    pub fn new(mut n: usize) -> Self {
+        let mut buf = [0u8; 20];
+        let mut start = buf.len();
+        loop {
+            start -= 1;
+            buf[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        DecimalStr { buf, start }
+    }
+
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[self.start..]).expect("ASCII digits")
+    }
+}
+
+/// The standard DoH request headers (RFC 8484 §4.1, POST style);
+/// `content_length` is the body length in decimal ([`DecimalStr`]).
+pub fn doh_request_headers<'a>(
+    authority: &'a str,
+    content_length: &'a str,
+) -> [(&'a str, &'a str); 7] {
+    [
+        (":method", "POST"),
+        (":scheme", "https"),
+        (":authority", authority),
+        (":path", "/dns-query"),
+        ("accept", "application/dns-message"),
+        ("content-type", "application/dns-message"),
+        ("content-length", content_length),
     ]
 }
 
 /// The standard DoH response headers.
-pub fn doh_response_headers(body_len: usize) -> Vec<(String, String)> {
-    vec![
-        (":status".into(), "200".into()),
-        ("content-type".into(), "application/dns-message".into()),
-        ("content-length".into(), body_len.to_string()),
-        ("cache-control".into(), "max-age=300".into()),
+pub fn doh_response_headers(content_length: &str) -> [(&str, &str); 4] {
+    [
+        (":status", "200"),
+        ("content-type", "application/dns-message"),
+        ("content-length", content_length),
+        ("cache-control", "max-age=300"),
     ]
 }
 
@@ -258,19 +439,11 @@ mod tests {
         }
     }
 
-    fn hdrs(pairs: &[(String, String)]) -> Vec<(&str, &str)> {
-        pairs
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.as_str()))
-            .collect()
-    }
-
     #[test]
     fn request_response_roundtrip() {
         let mut c = H2Connection::client();
         let mut s = H2Connection::server();
-        let req_headers = doh_request_headers("dns.example", 5);
-        let id = c.send_request(&hdrs(&req_headers), b"query");
+        let id = c.send_request(&doh_request_headers("dns.example", "5"), b"query");
         assert_eq!(id, 1);
         shuttle(&mut c, &mut s);
         let reqs = s.take_messages();
@@ -284,8 +457,7 @@ mod tests {
             Some("application/dns-message")
         );
 
-        let resp_headers = doh_response_headers(6);
-        s.send_response(1, &hdrs(&resp_headers), b"answer");
+        s.send_response(1, &doh_response_headers("6"), b"answer");
         shuttle(&mut c, &mut s);
         let resps = c.take_messages();
         assert_eq!(resps.len(), 1);
@@ -297,9 +469,9 @@ mod tests {
     fn multiple_requests_use_odd_stream_ids() {
         let mut c = H2Connection::client();
         let mut s = H2Connection::server();
-        let h = doh_request_headers("dns.example", 1);
-        let a = c.send_request(&hdrs(&h), b"a");
-        let b = c.send_request(&hdrs(&h), b"b");
+        let h = doh_request_headers("dns.example", "1");
+        let a = c.send_request(&h, b"a");
+        let b = c.send_request(&h, b"b");
         assert_eq!((a, b), (1, 3));
         shuttle(&mut c, &mut s);
         let reqs = s.take_messages();
@@ -309,10 +481,10 @@ mod tests {
     #[test]
     fn second_request_is_smaller_thanks_to_hpack() {
         let mut c = H2Connection::client();
-        let h = doh_request_headers("dns.example", 40);
-        c.send_request(&hdrs(&h), &[0; 40]);
+        let h = doh_request_headers("dns.example", "40");
+        c.send_request(&h, &[0; 40]);
         let first = c.take_output().len();
-        c.send_request(&hdrs(&h), &[0; 40]);
+        c.send_request(&h, &[0; 40]);
         let second = c.take_output().len();
         // First request includes preface+settings and literal headers;
         // the repeat compresses to table references.
@@ -324,8 +496,7 @@ mod tests {
     fn empty_body_request_ends_stream_on_headers() {
         let mut c = H2Connection::client();
         let mut s = H2Connection::server();
-        let h = vec![(":method".to_string(), "GET".to_string())];
-        c.send_request(&hdrs(&h), b"");
+        c.send_request(&[(":method", "GET")], b"");
         shuttle(&mut c, &mut s);
         let reqs = s.take_messages();
         assert_eq!(reqs.len(), 1);
@@ -337,8 +508,8 @@ mod tests {
         let mut c = H2Connection::client();
         let mut s = H2Connection::server();
         let body = vec![7u8; 100_000];
-        let h = doh_request_headers("dns.example", body.len());
-        c.send_request(&hdrs(&h), &body);
+        let len = DecimalStr::new(body.len());
+        c.send_request(&doh_request_headers("dns.example", len.as_str()), &body);
         shuttle(&mut c, &mut s);
         let reqs = s.take_messages();
         assert_eq!(reqs[0].body, body);
@@ -357,14 +528,39 @@ mod tests {
     fn byte_at_a_time_delivery() {
         let mut c = H2Connection::client();
         let mut s = H2Connection::server();
-        let h = doh_request_headers("dns.example", 3);
-        c.send_request(&hdrs(&h), b"abc");
+        c.send_request(&doh_request_headers("dns.example", "3"), b"abc");
         for b in c.take_output() {
             s.read_wire(&[b]);
         }
         let reqs = s.take_messages();
         assert_eq!(reqs.len(), 1);
         assert_eq!(reqs[0].body, b"abc");
+    }
+
+    #[test]
+    fn decimal_str_formats_like_to_string() {
+        for n in [0, 7, 10, 47, 999, 1_000_000, usize::MAX] {
+            assert_eq!(DecimalStr::new(n).as_str(), n.to_string());
+        }
+    }
+
+    #[test]
+    fn messages_are_lent_then_recycled() {
+        let mut c = H2Connection::client();
+        let mut s = H2Connection::server();
+        for round in 0..3 {
+            let body = vec![round as u8; 10 + round];
+            c.send_request(&doh_request_headers("dns.example", "x"), &body);
+            shuttle(&mut c, &mut s);
+            let mut seen = Vec::new();
+            s.messages_with(|m| {
+                assert_eq!(m.header(":path"), Some("/dns-query"));
+                assert_eq!(m.headers.len(), 7);
+                seen.push((m.stream_id, m.body.to_vec()));
+            });
+            assert_eq!(seen, vec![(1 + 2 * round as u32, body)]);
+            assert_eq!(s.streams.len(), 1);
+        }
     }
 
     #[test]

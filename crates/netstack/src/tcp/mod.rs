@@ -4,5 +4,5 @@
 mod segment;
 mod socket;
 
-pub use segment::{TcpFlags, TcpOption, TcpSegment};
+pub use segment::{SegmentRef, TcpFlags, TcpOption, TcpOptions, TcpSegment, TCP_HEADER_LEN};
 pub use socket::{TcpConfig, TcpFailure, TcpListener, TcpSocket, TcpState};

@@ -1,8 +1,10 @@
 //! The TCP connection state machine.
 //!
 //! Sans-I/O and poll-driven: callers feed segments in with
-//! [`TcpSocket::on_segment`], drain output with [`TcpSocket::poll`], and
-//! arm timers from [`TcpSocket::next_timeout`]. Sequence bookkeeping is
+//! [`TcpSocket::on_segment`] (a [`SegmentRef`] borrowed from the wire),
+//! drain output with [`TcpSocket::poll_transmit_with`] (each segment
+//! written into a pooled payload), and arm timers from
+//! [`TcpSocket::next_timeout`]. Sequence bookkeeping is
 //! done in a 64-bit absolute space (position 0 is the SYN) and mapped to
 //! 32-bit wire numbers, which keeps wrap-around handling in one place.
 //!
@@ -14,9 +16,9 @@
 //! TCP Fast Open. Not modelled: SACK scoreboards, urgent data, silly
 //! window avoidance (transfers here are far too small to hit it).
 
-use super::segment::{TcpFlags, TcpOption, TcpSegment};
+use super::segment::{SegmentRef, TcpFlags, TcpOptions, TcpSegment};
 use crate::congestion::CongestionController;
-use doqlab_simnet::{Duration, SimTime, SocketAddr};
+use doqlab_simnet::{Duration, PayloadBuf, SimTime, SocketAddr};
 use doqlab_telemetry::metrics::{self, Counter};
 use doqlab_telemetry::{sink, Event};
 use std::collections::{BTreeMap, VecDeque};
@@ -341,6 +343,15 @@ impl TcpSocket {
         std::mem::take(&mut self.rx_buf)
     }
 
+    /// Hand all readable bytes to `read`, then drop them. The receive
+    /// buffer keeps its capacity for the next segment.
+    pub fn recv_with(&mut self, read: impl FnOnce(&[u8])) {
+        if !self.rx_buf.is_empty() {
+            read(&self.rx_buf);
+            self.rx_buf.clear();
+        }
+    }
+
     pub fn has_rx_data(&self) -> bool {
         !self.rx_buf.is_empty()
     }
@@ -397,8 +408,10 @@ impl TcpSocket {
 
     // ---- segment input --------------------------------------------------
 
-    /// Process an incoming segment.
-    pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
+    /// Process an incoming segment: a view decoded from the wire, or an
+    /// owned segment by reference.
+    pub fn on_segment<'a>(&mut self, now: SimTime, seg: impl Into<SegmentRef<'a>>) {
+        let seg = &seg.into();
         if seg.flags.rst {
             if self.state != TcpState::Closed {
                 self.failure = Some(TcpFailure::PeerReset);
@@ -407,12 +420,8 @@ impl TcpSocket {
             }
             return;
         }
-        if let Some(TcpOption::Timestamps { value, .. }) = seg
-            .options
-            .iter()
-            .find(|o| matches!(o, TcpOption::Timestamps { .. }))
-        {
-            self.ts_echo = *value;
+        if let Some((value, _)) = seg.options.timestamps {
+            self.ts_echo = value;
         }
         match self.state {
             TcpState::Closed => { /* drop; RST generation not needed */ }
@@ -422,7 +431,7 @@ impl TcpSocket {
         }
     }
 
-    fn on_listen_syn(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_listen_syn(&mut self, now: SimTime, seg: &SegmentRef<'_>) {
         if !seg.flags.syn || seg.flags.ack {
             return;
         }
@@ -435,12 +444,9 @@ impl TcpSocket {
                               // TCP Fast Open (server side): accept SYN data when the client
                               // presented a cookie and we support TFO.
         if self.cfg.enable_tfo && !seg.payload.is_empty() {
-            let has_cookie = seg
-                .options
-                .iter()
-                .any(|o| matches!(o, TcpOption::FastOpenCookie(c) if !c.is_empty()));
+            let has_cookie = seg.options.fast_open.is_some_and(|c| !c.is_empty());
             if has_cookie {
-                self.rx_buf.extend_from_slice(&seg.payload);
+                self.rx_buf.extend_from_slice(seg.payload);
                 self.rcv_nxt += seg.payload.len() as u64;
                 let data_len = seg.payload.len();
                 sink::emit(now.as_nanos(), || Event::TcpFastOpen {
@@ -452,7 +458,7 @@ impl TcpSocket {
         }
     }
 
-    fn on_syn_sent(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_syn_sent(&mut self, now: SimTime, seg: &SegmentRef<'_>) {
         if !seg.flags.syn || !seg.flags.ack {
             return;
         }
@@ -465,14 +471,8 @@ impl TcpSocket {
         self.apply_peer_mss(seg);
         self.advance_snd_una(now, ack_abs);
         // Server may hand us a Fast Open cookie for next time.
-        if let Some(TcpOption::FastOpenCookie(c)) = seg
-            .options
-            .iter()
-            .find(|o| matches!(o, TcpOption::FastOpenCookie(_)))
-        {
-            if !c.is_empty() {
-                self.tfo_cookie = Some(c.clone());
-            }
+        if let Some(c) = seg.options.fast_open.filter(|c| !c.is_empty()) {
+            self.tfo_cookie = Some(c.to_vec());
         }
         self.state = TcpState::Established;
         self.established_at = Some(now);
@@ -483,11 +483,11 @@ impl TcpSocket {
         // SYN-ACK payload (TFO server response data) is regular stream
         // data starting at position 1.
         if !seg.payload.is_empty() {
-            self.accept_payload(1, &seg.payload);
+            self.accept_payload(1, seg.payload);
         }
     }
 
-    fn on_synchronized(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn on_synchronized(&mut self, now: SimTime, seg: &SegmentRef<'_>) {
         // Handshake completion for a passive opener.
         if self.state == TcpState::SynReceived && seg.flags.ack {
             let ack_abs = self.abs_from_wire_ack(seg.ack);
@@ -504,7 +504,7 @@ impl TcpSocket {
         }
         if !seg.payload.is_empty() {
             let pos = self.peer_abs(seg.seq);
-            self.accept_payload(pos, &seg.payload);
+            self.accept_payload(pos, seg.payload);
             self.pending_acks += 1;
         }
         if seg.flags.fin {
@@ -515,14 +515,13 @@ impl TcpSocket {
         self.maybe_consume_peer_fin();
     }
 
-    fn apply_peer_mss(&mut self, seg: &TcpSegment) {
-        if let Some(TcpOption::Mss(m)) = seg.options.iter().find(|o| matches!(o, TcpOption::Mss(_)))
-        {
-            self.cfg.mss = self.cfg.mss.min(*m as usize);
+    fn apply_peer_mss(&mut self, seg: &SegmentRef<'_>) {
+        if let Some(m) = seg.options.mss {
+            self.cfg.mss = self.cfg.mss.min(m as usize);
         }
     }
 
-    fn process_ack(&mut self, now: SimTime, seg: &TcpSegment) {
+    fn process_ack(&mut self, now: SimTime, seg: &SegmentRef<'_>) {
         let ack_abs = self.abs_from_wire_ack(seg.ack);
         self.peer_window = seg.window as u64;
         if ack_abs > self.snd_max {
@@ -702,29 +701,25 @@ impl TcpSocket {
         t
     }
 
-    fn make_segment(
-        &self,
-        flags: TcpFlags,
-        abs_seq: u64,
-        payload: Vec<u8>,
-        now: SimTime,
-    ) -> TcpSegment {
-        let mut options = Vec::new();
-        if flags.syn {
-            options.push(TcpOption::Mss(self.cfg.mss as u16));
-            options.push(TcpOption::SackPermitted);
-            options.push(TcpOption::Timestamps {
-                value: (now.as_nanos() / 1_000_000) as u32,
-                echo: self.ts_echo,
-            });
-            options.push(TcpOption::WindowScale(7));
+    /// A segment from this socket: the header for `flags` at absolute
+    /// position `abs_seq`, with the options this stack always sends.
+    fn segment<'a>(&self, flags: TcpFlags, abs_seq: u64, now: SimTime) -> SegmentRef<'a> {
+        let timestamps = Some(((now.as_nanos() / 1_000_000) as u32, self.ts_echo));
+        let options = if flags.syn {
+            TcpOptions {
+                mss: Some(self.cfg.mss as u16),
+                sack_permitted: true,
+                timestamps,
+                window_scale: Some(7),
+                fast_open: None,
+            }
         } else {
-            options.push(TcpOption::Timestamps {
-                value: (now.as_nanos() / 1_000_000) as u32,
-                echo: self.ts_echo,
-            });
-        }
-        TcpSegment {
+            TcpOptions {
+                timestamps,
+                ..TcpOptions::default()
+            }
+        };
+        SegmentRef {
             src_port: self.local.port,
             dst_port: self.remote.port,
             seq: self.wire_seq(abs_seq),
@@ -736,22 +731,41 @@ impl TcpSocket {
             flags,
             window: 65535,
             options,
-            payload,
+            payload: &[],
         }
     }
 
-    /// Produce all segments that should go on the wire now. Also fires
-    /// the retransmission timer when `now` has passed it.
+    /// Produce all segments that should go on the wire now, as owned
+    /// segments. Also fires the retransmission timer when `now` has
+    /// passed it.
     pub fn poll(&mut self, now: SimTime) -> Vec<TcpSegment> {
         let mut out = Vec::new();
+        self.emit_segments(now, &mut |seg, tail| {
+            let mut seg = seg.into_owned();
+            seg.payload.extend_from_slice(tail);
+            out.push(seg);
+        });
+        out
+    }
+
+    /// Write every segment due now into a pooled payload and hand it to
+    /// `emit`. Also fires the retransmission timer when `now` has passed
+    /// it.
+    pub fn poll_transmit_with(&mut self, now: SimTime, mut emit: impl FnMut(PayloadBuf)) {
+        self.emit_segments(now, &mut |seg, tail| emit(write_segment(&seg, tail)));
+    }
+
+    /// The output state machine. Each segment goes to `emit` as a view
+    /// whose payload continues with the second slice (the send buffer is
+    /// a ring, so a payload may straddle its end).
+    fn emit_segments(&mut self, now: SimTime, emit: &mut dyn FnMut(SegmentRef<'_>, &[u8])) {
         if self.reset_pending && self.state == TcpState::Closed {
             // One RST, then silence.
             self.reset_pending = false;
-            let mut seg = self.make_segment(TcpFlags::RST, self.snd_nxt, Vec::new(), now);
-            seg.ack = 0;
-            out.push(seg);
-            return out;
+            emit(self.segment(TcpFlags::RST, self.snd_nxt, now), &[]);
+            return;
         }
+        let mut sent = 0usize;
         // TIME_WAIT deadline may still need arming or firing.
         if self.state == TcpState::TimeWait {
             match self.time_wait_until {
@@ -771,7 +785,7 @@ impl TcpSocket {
                     self.failure = Some(TcpFailure::RetriesExhausted);
                     self.state = TcpState::Closed;
                     self.retransmit_at = None;
-                    return out;
+                    return;
                 }
                 let inflight = (self.snd_nxt - self.snd_una) as usize;
                 self.cc.on_rto(inflight);
@@ -800,37 +814,33 @@ impl TcpSocket {
                 },
             };
             if flags.syn {
-                let mut payload = Vec::new();
-                let mut seg_flags = flags;
-                // Client-side TFO: put queued data on the SYN.
-                if self.state == TcpState::SynSent && self.cfg.enable_tfo {
-                    if let Some(cookie) = &self.tfo_cookie {
-                        if !cookie.is_empty() && !self.tx_buf.is_empty() {
-                            let n = self.tx_buf.len().min(self.cfg.mss);
-                            payload = self.tx_buf.iter().take(n).copied().collect();
-                            seg_flags.psh = true;
-                            sink::emit(now.as_nanos(), || Event::TcpFastOpen {
-                                side: "client",
-                                data_len: n,
-                            });
-                            metrics::count(Counter::TcpFastOpenClient, 1);
-                            metrics::count(Counter::TfoSynData, 1);
-                        }
-                    }
-                }
-                let mut seg = self.make_segment(seg_flags, 0, payload.clone(), now);
+                let mut seg = self.segment(flags, 0, now);
+                let mut data_len = 0;
                 if self.cfg.enable_tfo && self.state == TcpState::SynSent {
-                    // Send cookie if cached, else request one.
-                    seg.options.push(TcpOption::FastOpenCookie(
-                        self.tfo_cookie.clone().unwrap_or_default(),
-                    ));
+                    // Send the cookie if cached (queued data then rides
+                    // the SYN), else request one.
+                    let cookie = self.tfo_cookie.as_deref().unwrap_or_default();
+                    if !cookie.is_empty() && !self.tx_buf.is_empty() {
+                        data_len = self.tx_buf.len().min(self.cfg.mss);
+                        seg.flags.psh = true;
+                        sink::emit(now.as_nanos(), || Event::TcpFastOpen {
+                            side: "client",
+                            data_len,
+                        });
+                        metrics::count(Counter::TcpFastOpenClient, 1);
+                        metrics::count(Counter::TfoSynData, 1);
+                    }
+                    seg.options.fast_open = Some(cookie);
                 } else if self.cfg.enable_tfo && self.state == TcpState::SynReceived {
                     // Issue a cookie to the client.
-                    seg.options.push(TcpOption::FastOpenCookie(vec![0xC0; 8]));
+                    seg.options.fast_open = Some(&ISSUED_TFO_COOKIE);
                 }
-                out.push(seg);
+                let (head, tail) = tx_range(&self.tx_buf, 0, data_len);
+                seg.payload = head;
+                emit(seg, tail);
+                sent += 1;
                 // SYN consumed position 0; any TFO payload follows it.
-                self.snd_nxt = self.snd_nxt.max(1 + payload.len() as u64);
+                self.snd_nxt = self.snd_nxt.max(1 + data_len as u64);
                 self.snd_max = self.snd_max.max(self.snd_nxt);
                 if self.rtt_sample.is_none() {
                     self.rtt_sample = Some((self.snd_nxt, now));
@@ -870,12 +880,13 @@ impl TcpSocket {
                 if n == 0 {
                     break;
                 }
-                let payload: Vec<u8> = self.tx_buf.iter().skip(start).take(n).copied().collect();
-                let last = start + n == self.tx_buf.len();
                 let mut flags = TcpFlags::ACK;
-                flags.psh = last;
-                let seg = self.make_segment(flags, self.snd_nxt, payload, now);
-                out.push(seg);
+                flags.psh = start + n == self.tx_buf.len();
+                let mut seg = self.segment(flags, self.snd_nxt, now);
+                let (head, tail) = tx_range(&self.tx_buf, start, n);
+                seg.payload = head;
+                emit(seg, tail);
+                sent += 1;
                 if self.rtt_sample.is_none() {
                     self.rtt_sample = Some((self.snd_nxt + n as u64, now));
                 }
@@ -894,7 +905,8 @@ impl TcpSocket {
             {
                 let fin = self.snd_nxt;
                 self.fin_pos = Some(fin);
-                out.push(self.make_segment(TcpFlags::FIN_ACK, fin, Vec::new(), now));
+                emit(self.segment(TcpFlags::FIN_ACK, fin, now), &[]);
+                sent += 1;
                 self.snd_nxt += 1;
                 self.snd_max = self.snd_max.max(self.snd_nxt);
                 self.pending_acks = 0;
@@ -904,9 +916,9 @@ impl TcpSocket {
         // ACK-eliciting segment received, so duplicate ACKs reach the
         // peer and trigger its fast retransmit.
         if self.pending_acks > 0 && (self.is_established() || self.state == TcpState::TimeWait) {
-            if out.is_empty() {
+            if sent == 0 {
                 for _ in 0..self.pending_acks {
-                    out.push(self.make_segment(TcpFlags::ACK, self.snd_nxt, Vec::new(), now));
+                    emit(self.segment(TcpFlags::ACK, self.snd_nxt, now), &[]);
                 }
             }
             self.pending_acks = 0;
@@ -915,8 +927,35 @@ impl TcpSocket {
         if self.snd_nxt > self.snd_una && self.retransmit_at.is_none() {
             self.retransmit_at = Some(now + self.rto.current());
         }
-        out
     }
+}
+
+/// The cookie a Fast Open server issues.
+const ISSUED_TFO_COOKIE: [u8; 8] = [0xC0; 8];
+
+/// Bytes `start..start + n` of a ring buffer, as the slice before its
+/// wrap point and the slice after (empty unless the range wraps).
+fn tx_range(buf: &VecDeque<u8>, start: usize, n: usize) -> (&[u8], &[u8]) {
+    let (a, b) = buf.as_slices();
+    if start >= a.len() {
+        let s = start - a.len();
+        (&b[s..s + n], &[])
+    } else if start + n <= a.len() {
+        (&a[start..start + n], &[])
+    } else {
+        (&a[start..], &b[..start + n - a.len()])
+    }
+}
+
+/// Encode a segment whose payload continues with `tail` into a pooled
+/// packet payload.
+fn write_segment(seg: &SegmentRef<'_>, tail: &[u8]) -> PayloadBuf {
+    let mut buf = PayloadBuf::new();
+    buf.reserve(seg.wire_len() + tail.len());
+    seg.write_header(&mut buf);
+    buf.extend_from_slice(seg.payload);
+    buf.extend_from_slice(tail);
+    buf
 }
 
 /// Demultiplexes inbound segments to per-peer server sockets.
@@ -937,7 +976,12 @@ impl TcpListener {
     }
 
     /// Route a segment from `peer`, creating a socket on SYN.
-    pub fn on_segment(&mut self, now: SimTime, peer: SocketAddr, seg: &TcpSegment) {
+    pub fn on_segment<'a>(
+        &mut self,
+        now: SimTime,
+        peer: SocketAddr,
+        seg: impl Into<SegmentRef<'a>>,
+    ) {
         let sock = self.conns.entry(peer).or_insert_with(|| {
             // Deterministic per-peer ISS.
             let iss = peer
@@ -959,6 +1003,18 @@ impl TcpListener {
             }
         }
         out
+    }
+
+    /// Poll every connection in peer order, handing each segment and its
+    /// peer to `emit` in a pooled payload.
+    pub fn poll_transmit_with(
+        &mut self,
+        now: SimTime,
+        mut emit: impl FnMut(SocketAddr, PayloadBuf),
+    ) {
+        for (&peer, sock) in self.conns.iter_mut() {
+            sock.poll_transmit_with(now, |buf| emit(peer, buf));
+        }
     }
 
     pub fn next_timeout(&self) -> Option<SimTime> {
@@ -1262,10 +1318,7 @@ mod tests {
         a.open(SimTime::ZERO);
         let syn = a.poll(SimTime::ZERO).remove(0);
         // First SYN carries an empty cookie request and no data.
-        assert!(syn
-            .options
-            .iter()
-            .any(|o| matches!(o, TcpOption::FastOpenCookie(c) if c.is_empty())));
+        assert_eq!(syn.view().options.fast_open, Some(&[][..]));
         assert!(syn.payload.is_empty());
         b.on_segment(SimTime::ZERO, &syn);
         let synack = b.poll(SimTime::ZERO).remove(0);

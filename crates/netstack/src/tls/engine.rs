@@ -1,8 +1,9 @@
 //! The TLS client and server state machines.
 //!
 //! Transport-agnostic: callers feed received bytes with `read_wire` and
-//! drain bytes to transmit with `take_output`. Over TCP the bytes are
-//! written into a [`crate::tcp::TcpSocket`]; QUIC instead embeds the
+//! drain bytes to transmit with `take_output_with` (or `take_output`).
+//! Over TCP the bytes are written straight into a
+//! [`crate::tcp::TcpSocket`]'s send buffer; QUIC instead embeds the
 //! handshake *messages* (not records) in CRYPTO frames.
 //!
 //! Records and handshake messages are decoded by borrowing from the
@@ -88,6 +89,14 @@ impl std::fmt::Display for TlsError {
 }
 
 impl std::error::Error for TlsError {}
+
+/// Hand a non-empty buffer's bytes to `f`, then clear it.
+fn drain_with(buf: &mut Vec<u8>, f: impl FnOnce(&[u8])) {
+    if !buf.is_empty() {
+        f(buf);
+        buf.clear();
+    }
+}
 
 /// Append a fatal alert record.
 fn write_alert(out: &mut Vec<u8>, code: u8) {
@@ -375,9 +384,21 @@ impl TlsClient {
         std::mem::take(&mut self.app_rx)
     }
 
+    /// Hand decrypted application bytes to `read`, then drop them; the
+    /// buffer keeps its capacity.
+    pub fn read_app_with(&mut self, read: impl FnOnce(&[u8])) {
+        drain_with(&mut self.app_rx, read);
+    }
+
     /// Take bytes to hand to the transport.
     pub fn take_output(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.out)
+    }
+
+    /// Hand the bytes to transmit to `write` (e.g. a TCP send buffer),
+    /// then drop them; the buffer keeps its capacity.
+    pub fn take_output_with(&mut self, write: impl FnOnce(&[u8])) {
+        drain_with(&mut self.out, write);
     }
 
     pub fn is_connected(&self) -> bool {
@@ -710,8 +731,23 @@ impl TlsServer {
         std::mem::take(&mut self.early_rx)
     }
 
+    /// Hand everything readable to `read` in stream order, then drop
+    /// it: accepted early data first, then application data (the same
+    /// bytes as [`Self::read_early`] followed by [`Self::read_app`]).
+    /// Both buffers keep their capacity.
+    pub fn read_app_with(&mut self, mut read: impl FnMut(&[u8])) {
+        drain_with(&mut self.early_rx, &mut read);
+        drain_with(&mut self.app_rx, read);
+    }
+
     pub fn take_output(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.out)
+    }
+
+    /// Hand the bytes to transmit to `write` (e.g. a TCP send buffer),
+    /// then drop them; the buffer keeps its capacity.
+    pub fn take_output_with(&mut self, write: impl FnOnce(&[u8])) {
+        drain_with(&mut self.out, write);
     }
 
     pub fn is_connected(&self) -> bool {

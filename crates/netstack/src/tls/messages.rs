@@ -117,6 +117,8 @@ pub(crate) fn write_record(out: &mut Vec<u8>, kind: RecordKind, body: impl FnOnc
 /// Append `data` as encrypted application-data records of at most
 /// [`MAX_RECORD_PLAINTEXT`] bytes each.
 pub(crate) fn write_app_data(out: &mut Vec<u8>, data: &[u8]) {
+    let records = data.len().div_ceil(MAX_RECORD_PLAINTEXT);
+    out.reserve(data.len() + records * (5 + RECORD_OVERHEAD));
     for chunk in data.chunks(MAX_RECORD_PLAINTEXT) {
         write_record(out, RecordKind::Encrypted(CT_APPLICATION_DATA), |o| {
             o.extend_from_slice(chunk)
@@ -135,6 +137,10 @@ pub(crate) fn write_handshake_record(
     } else {
         RecordKind::Encrypted(CT_HANDSHAKE)
     };
+    // Room for the record: header, AEAD overhead, the message header,
+    // its size model and a structural body, which is short for every
+    // message but a ClientHello with many ALPN ids.
+    out.reserve(5 + RECORD_OVERHEAD + 4 + msg.size_model() + 64);
     write_record(out, kind, |o| msg.encode(o));
 }
 

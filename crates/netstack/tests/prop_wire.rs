@@ -1,12 +1,18 @@
-//! Hostile-wire properties of the QUIC and TLS decoders: encodings
-//! round-trip, `wire_len` matches the encoder, arbitrary bytes and
-//! single-byte mutations of valid encodings never panic, and a QUIC
-//! packet with a malformed frame is dropped whole.
+//! Hostile-wire properties of the QUIC, TLS, TCP, HTTP/2 and HPACK
+//! decoders: encodings round-trip (owned and borrowed views alike),
+//! `wire_len` matches the encoder, arbitrary bytes and single-byte
+//! mutations of valid encodings never panic, a QUIC packet with a
+//! malformed frame is dropped whole, and an HTTP/2 byte stream yields
+//! the same messages however it is split.
 
+use doqlab_netstack::http2::{
+    H2Connection, H2Frame, H2FrameRef, H2Message, HpackDecoder, HpackEncoder,
+};
 use doqlab_netstack::quic::{
     Frame, PacketType, QuicConfig, QuicConnection, QuicPacket, QuicServer, VersionNegotiation,
     QUIC_V1,
 };
+use doqlab_netstack::tcp::{SegmentRef, TcpFlags, TcpOption, TcpSegment};
 use doqlab_netstack::tls::{
     HandshakeMessage, HandshakePayload, SessionTicket, TlsConfig, TlsRecord, TlsVersion,
 };
@@ -204,6 +210,123 @@ fn record() -> impl Strategy<Value = TlsRecord> {
     ]
 }
 
+/// A TCP segment with each option kind present or not, listed in wire
+/// order (the owned form's canonical order).
+fn segment() -> impl Strategy<Value = TcpSegment> {
+    (
+        (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>()),
+        (0..32u8, any::<u16>()),
+        (any::<bool>(), any::<u16>(), any::<bool>()),
+        (any::<bool>(), any::<u32>(), any::<u32>()),
+        (any::<bool>(), any::<u8>(), any::<bool>(), bytes(17)),
+        bytes(300),
+    )
+        .prop_map(
+            |((src_port, dst_port, seq, ack), (bits, window), mss, ts, wscale_tfo, payload)| {
+                let (with_mss, mss, sack) = mss;
+                let (with_ts, value, echo) = ts;
+                let (with_ws, ws, with_tfo, cookie) = wscale_tfo;
+                let options = [
+                    with_mss.then_some(TcpOption::Mss(mss)),
+                    sack.then_some(TcpOption::SackPermitted),
+                    with_ts.then_some(TcpOption::Timestamps { value, echo }),
+                    with_ws.then_some(TcpOption::WindowScale(ws)),
+                    with_tfo.then_some(TcpOption::FastOpenCookie(cookie)),
+                ];
+                TcpSegment {
+                    src_port,
+                    dst_port,
+                    seq,
+                    ack,
+                    flags: TcpFlags {
+                        fin: bits & 1 != 0,
+                        syn: bits & 2 != 0,
+                        rst: bits & 4 != 0,
+                        psh: bits & 8 != 0,
+                        ack: bits & 16 != 0,
+                    },
+                    window,
+                    options: options.into_iter().flatten().collect(),
+                    payload,
+                }
+            },
+        )
+}
+
+fn h2_frame() -> impl Strategy<Value = H2Frame> {
+    (any::<u8>(), any::<u8>(), 0..1u32 << 31, bytes(300)).prop_map(
+        |(ftype, flags, stream_id, payload)| {
+            // The type as a frame header carrying `ftype` decodes it.
+            let header = [0, 0, 0, ftype, 0, 0, 0, 0, 0];
+            let (frame, _) = H2FrameRef::decode(&header).expect("a header");
+            H2Frame {
+                ftype: frame.ftype,
+                flags,
+                stream_id,
+                payload,
+            }
+        },
+    )
+}
+
+/// Header names: static-table names (indexed by HPACK) and fresh ones.
+fn header_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0..6usize).prop_map(|i| {
+            [
+                ":authority",
+                ":path",
+                "content-type",
+                "content-length",
+                "accept",
+                "x-custom",
+            ][i]
+                .to_string()
+        }),
+        proptest::string::string_regex("[a-z-]{1,16}").unwrap(),
+    ]
+}
+
+/// A header list: (name, value) pairs, values drawn from a few repeats
+/// (so the dynamic table is hit) and fresh strings.
+fn header_list() -> impl Strategy<Value = Vec<(String, String)>> {
+    proptest::collection::vec(
+        (
+            header_name(),
+            prop_oneof![
+                (0..3usize).prop_map(|i| ["POST", "application/dns-message", "47"][i].to_string()),
+                proptest::string::string_regex("[ -~]{0,40}").unwrap(),
+            ],
+        ),
+        0..9,
+    )
+}
+
+fn refs(headers: &[(String, String)]) -> Vec<(&str, &str)> {
+    headers
+        .iter()
+        .map(|(n, v)| (n.as_str(), v.as_str()))
+        .collect()
+}
+
+/// A request: its header list and body.
+type Request = (Vec<(String, String)>, Vec<u8>);
+
+/// A client's request byte stream and the messages it carries.
+fn h2_requests(requests: &[Request]) -> (Vec<u8>, Vec<H2Message>) {
+    let mut client = H2Connection::client();
+    let mut sent = Vec::new();
+    for (headers, body) in requests {
+        let stream_id = client.send_request(&refs(headers), body);
+        sent.push(H2Message {
+            stream_id,
+            headers: headers.clone(),
+            body: body.clone(),
+        });
+    }
+    (client.take_output(), sent)
+}
+
 /// Every decoder, fed the same bytes; none may panic.
 fn decode_everything(buf: &[u8]) {
     let mut pos = 0;
@@ -218,6 +341,14 @@ fn decode_everything(buf: &[u8]) {
     let _ = TlsRecord::decode(buf);
     let _ = HandshakeMessage::decode(buf);
     let _ = SessionTicket::decode(buf);
+    let _ = TcpSegment::decode(buf);
+    let _ = H2Frame::decode(buf);
+    let _ = HpackDecoder::new().decode(buf);
+    // A server expects the preface first; a client reads frames at once.
+    for mut conn in [H2Connection::server(), H2Connection::client()] {
+        conn.read_wire(buf);
+        let _ = conn.take_messages();
+    }
 }
 
 /// Replace one byte of `wire`.
@@ -341,6 +472,87 @@ proptest! {
         for wire in [encode_frames(&frames), packet_wire, hs_wire, rec_wire, t.encode()] {
             decode_everything(&mutate(wire, at, byte));
         }
+    }
+
+    #[test]
+    fn tcp_segments_roundtrip(seg in segment()) {
+        let wire = seg.encode();
+        let view = seg.view();
+        prop_assert_eq!(wire.len(), view.wire_len());
+        prop_assert_eq!(SegmentRef::decode(&wire), Some(view));
+        prop_assert_eq!(TcpSegment::decode(&wire), Some(seg.clone()));
+        // The header writer plus the payload is the whole encoding.
+        let mut split = Vec::new();
+        view.write_header(&mut split);
+        prop_assert_eq!(split.len(), view.header_len());
+        split.extend_from_slice(&seg.payload);
+        prop_assert_eq!(split, wire);
+    }
+
+    #[test]
+    fn h2_frames_roundtrip(frame in h2_frame()) {
+        let wire = frame.encode();
+        prop_assert_eq!(wire.len(), 9 + frame.payload.len());
+        prop_assert_eq!(H2FrameRef::decode(&wire), Some((frame.view(), wire.len())));
+        prop_assert_eq!(H2Frame::decode(&wire), Some((frame.clone(), wire.len())));
+        // Any proper prefix is incomplete, not an error.
+        for cut in [0, 8, wire.len() - 1] {
+            prop_assert!(H2FrameRef::decode(&wire[..cut]).is_none());
+        }
+    }
+
+    #[test]
+    fn hpack_blocks_roundtrip(lists in proptest::collection::vec(header_list(), 1..6)) {
+        // One encoder and decoder across blocks, so later blocks index
+        // the dynamic table the earlier ones filled (and evicted).
+        let mut enc = HpackEncoder::new();
+        let mut dec = HpackDecoder::new();
+        for headers in &lists {
+            let block = enc.encode(&refs(headers));
+            prop_assert_eq!(dec.decode(&block), Some(headers.clone()));
+        }
+    }
+
+    #[test]
+    fn wire_decoders_never_panic_on_mutated_encodings(
+        seg in segment(),
+        frame in h2_frame(),
+        headers in header_list(),
+        requests in proptest::collection::vec((header_list(), bytes(64)), 1..4),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let block = HpackEncoder::new().encode(&refs(&headers));
+        let (stream, _) = h2_requests(&requests);
+        for wire in [seg.encode(), frame.encode(), block, stream] {
+            decode_everything(&mutate(wire, at, byte));
+        }
+    }
+
+    #[test]
+    fn h2_read_wire_is_split_invariant(
+        requests in proptest::collection::vec((header_list(), bytes(100)), 1..5),
+        cuts in proptest::collection::vec(any::<usize>(), 0..12),
+    ) {
+        let (stream, sent) = h2_requests(&requests);
+        let mut whole = H2Connection::server();
+        whole.read_wire(&stream);
+        let expected = whole.take_messages();
+        prop_assert_eq!(&expected, &sent);
+        // The same bytes, split at arbitrary points.
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
+        cuts.push(stream.len());
+        cuts.sort_unstable();
+        let mut split = H2Connection::server();
+        let mut got = Vec::new();
+        let mut from = 0;
+        for cut in cuts {
+            split.read_wire(&stream[from..cut]);
+            got.extend(split.take_messages());
+            from = cut;
+        }
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(split.take_output(), whole.take_output());
     }
 
     #[test]

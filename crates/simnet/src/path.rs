@@ -12,6 +12,7 @@ use crate::geo::{Coord, FIBER_SPEED_KM_S};
 use crate::net::Ipv4Addr;
 use crate::rng::SimRng;
 use crate::time::Duration;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Sampled characteristics of a (src, dst) path for one packet.
@@ -107,11 +108,23 @@ impl Default for GeoPathParams {
     }
 }
 
+/// Most (src, dst) pairs [`GeoPathModel`] memoizes; further pairs are
+/// computed on every packet.
+const MEMO_PAIRS: usize = 16;
+
+/// One memoized pair.
+type MemoSlot = Cell<Option<(Ipv4Addr, Ipv4Addr, PathCharacteristics)>>;
+
 /// Path model based on host coordinates.
 #[derive(Debug, Clone)]
 pub struct GeoPathModel {
     params: GeoPathParams,
     locations: HashMap<Ipv4Addr, Coord>,
+    /// Characteristics of the pairs seen since the last `place`, filled
+    /// front to back: a unit routes every packet over a handful of
+    /// pairs, so a short scan beats two map lookups and a haversine per
+    /// packet.
+    memo: [MemoSlot; MEMO_PAIRS],
 }
 
 impl GeoPathModel {
@@ -119,6 +132,7 @@ impl GeoPathModel {
         GeoPathModel {
             params,
             locations: HashMap::new(),
+            memo: Default::default(),
         }
     }
 
@@ -130,6 +144,7 @@ impl GeoPathModel {
     /// treated as co-located with their peer (base delay only).
     pub fn place(&mut self, ip: Ipv4Addr, at: Coord) {
         self.locations.insert(ip, at);
+        self.memo = Default::default();
     }
 
     pub fn location(&self, ip: Ipv4Addr) -> Option<Coord> {
@@ -147,10 +162,9 @@ impl GeoPathModel {
         let secs = km / FIBER_SPEED_KM_S;
         self.params.base_delay + Duration::from_secs_f64(secs)
     }
-}
 
-impl PathModel for GeoPathModel {
-    fn characteristics(&self, src: Ipv4Addr, dst: Ipv4Addr) -> PathCharacteristics {
+    /// The characteristics of a pair, computed from the coordinates.
+    fn compute(&self, src: Ipv4Addr, dst: Ipv4Addr) -> PathCharacteristics {
         if src.ip_is_loopback_pair(dst) {
             return PathCharacteristics {
                 propagation: self.params.loopback_delay,
@@ -171,6 +185,23 @@ impl PathModel for GeoPathModel {
             loss: self.params.loss,
             egress_bps: self.params.egress_bps,
         }
+    }
+}
+
+impl PathModel for GeoPathModel {
+    fn characteristics(&self, src: Ipv4Addr, dst: Ipv4Addr) -> PathCharacteristics {
+        for slot in &self.memo {
+            match slot.get() {
+                Some((s, d, c)) if s == src && d == dst => return c,
+                Some(_) => {}
+                None => {
+                    let c = self.compute(src, dst);
+                    slot.set(Some((src, dst, c)));
+                    return c;
+                }
+            }
+        }
+        self.compute(src, dst)
     }
 }
 
@@ -303,6 +334,48 @@ mod tests {
         let c = m.characteristics(ip(1), ip(2));
         assert_eq!(c.propagation, Duration::from_millis(25));
         assert_eq!(c.loss, 0.0);
+    }
+
+    /// Every field, compared exactly.
+    fn same(a: PathCharacteristics, b: PathCharacteristics) -> bool {
+        a.propagation == b.propagation
+            && a.jitter_std == b.jitter_std
+            && a.loss.to_bits() == b.loss.to_bits()
+            && a.egress_bps == b.egress_bps
+    }
+
+    #[test]
+    fn memoized_characteristics_equal_fresh_ones() {
+        let mut m = GeoPathModel::with_defaults();
+        m.place(ip(1), Continent::Europe.center());
+        m.place(ip(2), Continent::Asia.center());
+        m.place(ip(3), Continent::Oceania.center());
+        let addrs = [ip(1), ip(2), ip(3), ip(4), Ipv4Addr::LOCALHOST];
+        let check = |m: &GeoPathModel| {
+            // Twice over, so the second pass reads the memo.
+            for _ in 0..2 {
+                for &a in &addrs {
+                    for &b in &addrs {
+                        assert!(same(m.characteristics(a, b), m.compute(a, b)), "{a} -> {b}");
+                    }
+                }
+            }
+        };
+        check(&m);
+        // Moving an address invalidates what was memoized for it.
+        let before = m.characteristics(ip(1), ip(2)).propagation;
+        m.place(ip(1), Continent::SouthAmerica.center());
+        assert_ne!(m.characteristics(ip(1), ip(2)).propagation, before);
+        check(&m);
+        let mut fresh = GeoPathModel::with_defaults();
+        fresh.place(ip(1), Continent::SouthAmerica.center());
+        fresh.place(ip(2), Continent::Asia.center());
+        fresh.place(ip(3), Continent::Oceania.center());
+        for &a in &addrs {
+            for &b in &addrs {
+                assert!(same(m.characteristics(a, b), fresh.characteristics(a, b)));
+            }
+        }
     }
 
     #[test]

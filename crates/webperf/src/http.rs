@@ -3,7 +3,7 @@
 //! resource fetches — like Chromium does.
 
 use doqlab_netstack::http2::H2Connection;
-use doqlab_netstack::tcp::{TcpConfig, TcpSegment, TcpSocket};
+use doqlab_netstack::tcp::{SegmentRef, TcpConfig, TcpSocket};
 use doqlab_netstack::tls::{TlsClient, TlsConfig};
 use doqlab_simnet::{Packet, SimTime, SocketAddr};
 use std::collections::HashMap;
@@ -80,8 +80,8 @@ impl HttpsClientConn {
     }
 
     pub fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Vec<Packet>) {
-        if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-            self.tcp.on_segment(now, &seg);
+        if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+            self.tcp.on_segment(now, seg);
         }
         self.pump(now, out);
     }
@@ -100,38 +100,27 @@ impl HttpsClientConn {
                 self.send_get(id, &path);
             }
         }
-        let data = self.tcp.recv();
-        if !data.is_empty() {
-            self.tls.read_wire(now, &data);
-        }
-        let plain = self.tls.read_app();
-        if !plain.is_empty() {
-            self.h2.read_wire(&plain);
-        }
-        for msg in self.h2.take_messages() {
-            if let Some(id) = self.by_stream.remove(&msg.stream_id) {
-                self.completed.push(FetchDone {
+        let tls = &mut self.tls;
+        self.tcp.recv_with(|data| tls.read_wire(now, data));
+        let h2 = &mut self.h2;
+        self.tls.read_app_with(|plain| h2.read_wire(plain));
+        let (by_stream, completed) = (&mut self.by_stream, &mut self.completed);
+        self.h2.messages_with(|msg| {
+            if let Some(id) = by_stream.remove(&msg.stream_id) {
+                completed.push(FetchDone {
                     resource_id: id,
                     at: now,
                     body_len: msg.body.len(),
                 });
             }
-        }
-        let h2_out = self.h2.take_output();
-        if !h2_out.is_empty() {
-            self.tls.write_app(&h2_out);
-        }
-        let wire = self.tls.take_output();
-        if !wire.is_empty() {
-            self.tcp.send(&wire);
-        }
-        for seg in self.tcp.poll(now) {
-            out.push(Packet::tcp(
-                self.tcp.local,
-                self.tcp.remote,
-                seg.encode_payload(),
-            ));
-        }
+        });
+        let tls = &mut self.tls;
+        self.h2.take_output_with(|h2_out| tls.write_app(h2_out));
+        let tcp = &mut self.tcp;
+        self.tls.take_output_with(|wire| tcp.send(wire));
+        let (local, remote) = (self.tcp.local, self.tcp.remote);
+        self.tcp
+            .poll_transmit_with(now, |seg| out.push(Packet::tcp(local, remote, seg)));
     }
 
     pub fn take_completed(&mut self) -> Vec<FetchDone> {

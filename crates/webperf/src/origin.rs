@@ -1,8 +1,8 @@
 //! Simulated origin web servers: HTTP/2 over TLS over TCP on port 443,
 //! serving the resources of one or more domains from a path->size map.
 
-use doqlab_netstack::http2::H2Connection;
-use doqlab_netstack::tcp::{TcpConfig, TcpListener, TcpSegment};
+use doqlab_netstack::http2::{DecimalStr, H2Connection};
+use doqlab_netstack::tcp::{SegmentRef, TcpConfig, TcpListener};
 use doqlab_netstack::tls::{TlsConfig, TlsServer};
 use doqlab_simnet::{Ctx, Duration, Host, Ipv4Addr, Packet, SimTime, SocketAddr};
 use std::any::Any;
@@ -66,7 +66,7 @@ impl OriginHost {
         for (peer, stream, size) in due {
             if let Some(conn) = self.conns.get_mut(&peer) {
                 let body = vec![0u8; size];
-                let len = body.len().to_string();
+                let len = DecimalStr::new(body.len());
                 let headers = [
                     (":status", "200"),
                     ("content-type", "text/html"),
@@ -75,14 +75,9 @@ impl OriginHost {
                 ];
                 conn.h2.send_response(stream, &headers, &body);
                 if let Some(sock) = self.listener.connection(peer) {
-                    let h2_out = conn.h2.take_output();
-                    if !h2_out.is_empty() {
-                        conn.tls.write_app(&h2_out);
-                    }
-                    let wire = conn.tls.take_output();
-                    if !wire.is_empty() {
-                        sock.send(&wire);
-                    }
+                    let tls = &mut conn.tls;
+                    conn.h2.take_output_with(|h2_out| tls.write_app(h2_out));
+                    conn.tls.take_output_with(|wire| sock.send(wire));
                 }
             }
         }
@@ -91,37 +86,25 @@ impl OriginHost {
                 tls: TlsServer::new(self.tls_cfg.clone()),
                 h2: H2Connection::server(),
             });
-            let data = sock.recv();
-            if !data.is_empty() {
-                conn.tls.read_wire(now, &data);
-            }
-            let plain = conn.tls.read_app();
-            if !plain.is_empty() {
-                conn.h2.read_wire(&plain);
-            }
-            for req in conn.h2.take_messages() {
-                self.requests_served += 1;
-                let path = req.header(":path").unwrap_or("/").to_string();
-                let size = self.sizes.get(&path).copied().unwrap_or(1024);
-                self.pending
-                    .push((now + SERVER_THINK_TIME, peer, req.stream_id, size));
-            }
-            let h2_out = conn.h2.take_output();
-            if !h2_out.is_empty() {
-                conn.tls.write_app(&h2_out);
-            }
-            let wire = conn.tls.take_output();
-            if !wire.is_empty() {
-                sock.send(&wire);
-            }
+            let tls = &mut conn.tls;
+            sock.recv_with(|data| tls.read_wire(now, data));
+            let h2 = &mut conn.h2;
+            conn.tls.read_app_with(|plain| h2.read_wire(plain));
+            let (sizes, pending) = (&self.sizes, &mut self.pending);
+            let served = &mut self.requests_served;
+            conn.h2.messages_with(|req| {
+                *served += 1;
+                let path = req.header(":path").unwrap_or("/");
+                let size = sizes.get(path).copied().unwrap_or(1024);
+                pending.push((now + SERVER_THINK_TIME, peer, req.stream_id, size));
+            });
+            let tls = &mut conn.tls;
+            conn.h2.take_output_with(|h2_out| tls.write_app(h2_out));
+            conn.tls.take_output_with(|wire| sock.send(wire));
         }
-        for (peer, seg) in self.listener.poll(now) {
-            out.push(Packet::tcp(
-                SocketAddr::new(self.ip, 443),
-                peer,
-                seg.encode_payload(),
-            ));
-        }
+        let local = SocketAddr::new(self.ip, 443);
+        self.listener
+            .poll_transmit_with(now, |peer, seg| out.push(Packet::tcp(local, peer, seg)));
     }
 }
 
@@ -146,8 +129,8 @@ impl OriginHost {
 impl Host for OriginHost {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         if pkt.dst.port == 443 {
-            if let Some(seg) = TcpSegment::decode(&pkt.payload) {
-                self.listener.on_segment(ctx.now, pkt.src, &seg);
+            if let Some(seg) = SegmentRef::decode(&pkt.payload) {
+                self.listener.on_segment(ctx.now, pkt.src, seg);
             }
         }
         let mut out = Vec::new();
